@@ -6,19 +6,17 @@
 // a second pass kills a busy client mid-run and shows what each mode
 // recovers.
 //
-// The heavy mode is run twice — once with the PR-5 wire overhaul
-// disabled (full-formula ships with the whole learned DB, full-snapshot
-// checkpoints) and once with it enabled (base-ref caching + bounded
-// split payloads + incremental checkpoint chains) — so the
-// bytes-on-wire delta is measured inside one binary; a separate
-// warm-transfer table on a large-formula instance (--warm-instance)
-// isolates the repeat-ship drop. With --json=FILE it appends
+// Heavy checkpoints ship incremental chains (one full snapshot, then
+// deltas) at two intervals; a separate warm-transfer table on a
+// large-formula instance (--warm-instance) isolates the repeat-ship drop
+// that base-ref caching buys. With --json=FILE it appends
 // "bench":"checkpoint" JSON-Lines rows (see ROADMAP.md) that include an
 // encode/decode ns-per-clause micro-measurement of the v2 checkpoint
 // codec.
 //
 //   ./bench_checkpoint
 //   ./bench_checkpoint --instance=urquhart-16 --json=BENCH_parallel.json --append
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -45,7 +43,7 @@ struct Run {
 };
 
 Run run_campaign(const cnf::CnfFormula& f, core::CheckpointMode mode,
-                 bool wire_overhaul, double interval_s, bool recover,
+                 double interval_s, bool recover,
                  double kill_at, std::uint64_t seed,
                  double split_timeout_s = 100.0,
                  double overall_timeout_s = 12000.0) {
@@ -58,10 +56,6 @@ Run run_campaign(const cnf::CnfFormula& f, core::CheckpointMode mode,
   config.checkpoint = mode;
   config.checkpoint_interval_s = interval_s;
   config.recover_from_checkpoints = recover;
-  config.base_ref_caching = wire_overhaul;
-  config.incremental_checkpoints = wire_overhaul;
-  // Pre-overhaul ships carried the sender's whole learned DB.
-  if (!wire_overhaul) config.split_learned_budget_bytes = 0;
   config.seed = seed;
   core::Campaign campaign(f, core::testbeds::kMasterSite,
                           core::testbeds::grads34(), config);
@@ -140,7 +134,7 @@ CodecTiming time_codec(const cnf::CnfFormula& f) {
 }
 
 std::string json_row(const std::string& instance, const char* mode,
-                     bool wire_overhaul, double interval_s, const Run& run,
+                     double interval_s, const Run& run,
                      const CodecTiming& timing) {
   const core::GridSatResult& r = run.result;
   util::JsonWriter json;
@@ -148,7 +142,6 @@ std::string json_row(const std::string& instance, const char* mode,
       .field("bench", "checkpoint")
       .field("instance", instance)
       .field("mode", mode)
-      .field("wire_overhaul", wire_overhaul)
       .field("checkpoint_interval_s", interval_s)
       .field("status", core::to_string(r.status))
       .field("seconds", r.seconds)
@@ -161,9 +154,7 @@ std::string json_row(const std::string& instance, const char* mode,
       .field("base_ref_transfers", r.base_ref_transfers)
       .field("base_ref_bytes_saved", r.base_ref_bytes_saved)
       .field("base_ref_payload_bytes", r.base_ref_payload_bytes)
-      .field("warm_ship_bytes_v1", r.warm_ship_bytes_v1)
       .field("ship_learned_trimmed", r.ship_learned_trimmed)
-      .field("ship_trim_bytes_saved", r.ship_trim_bytes_saved)
       .field("base_renegotiations", r.base_renegotiations)
       .field("encode_ns_per_clause", timing.encode_ns_per_clause)
       .field("decode_ns_per_clause", timing.decode_ns_per_clause)
@@ -200,25 +191,20 @@ int main(int argc, char** argv) {
       util::format_bytes(static_cast<double>(timing.bytes)).c_str());
 
   std::string json_rows;
-  std::printf("%-8s %-6s %-9s %-10s %-10s %-12s %-14s %s\n", "mode", "wire",
-              "interval", "verdict", "seconds", "ckpt msgs", "ckpt bytes",
-              "overhead");
-  std::printf("%s\n", std::string(88, '-').c_str());
+  std::printf("%-8s %-9s %-10s %-10s %-12s %-14s %s\n", "mode", "interval",
+              "verdict", "seconds", "ckpt msgs", "ckpt bytes", "overhead");
+  std::printf("%s\n", std::string(81, '-').c_str());
   double baseline = 0.0;
-  // none/light once (the overhaul only affects subproblem ships there).
-  // Heavy is the interesting axis: wire overhaul off = the pre-PR5 format
-  // (every snapshot ships the whole clause DB), on = base-ref caching +
-  // incremental chains; at a paper-faithful frequent-checkpoint interval
-  // the full-snapshot redundancy compounds while delta chains stay flat.
-  struct Row { core::CheckpointMode mode; bool wire; double interval_s; };
-  for (const Row row : {Row{core::CheckpointMode::kNone, true, 60.0},
-                        Row{core::CheckpointMode::kLight, true, 60.0},
-                        Row{core::CheckpointMode::kHeavy, false, 60.0},
-                        Row{core::CheckpointMode::kHeavy, true, 60.0},
-                        Row{core::CheckpointMode::kHeavy, false, 15.0},
-                        Row{core::CheckpointMode::kHeavy, true, 15.0}}) {
+  // Heavy is the interesting axis: at a paper-faithful frequent-checkpoint
+  // interval a full snapshot per tick would compound, while delta chains
+  // stay flat.
+  struct Row { core::CheckpointMode mode; double interval_s; };
+  for (const Row row : {Row{core::CheckpointMode::kNone, 60.0},
+                        Row{core::CheckpointMode::kLight, 60.0},
+                        Row{core::CheckpointMode::kHeavy, 60.0},
+                        Row{core::CheckpointMode::kHeavy, 15.0}}) {
     const Run run =
-        run_campaign(f, row.mode, row.wire, row.interval_s, false, 0.0, seed);
+        run_campaign(f, row.mode, row.interval_s, false, 0.0, seed);
     if (row.mode == core::CheckpointMode::kNone) baseline = run.result.seconds;
     char overhead[24] = "-";
     if (baseline > 0) {
@@ -226,9 +212,9 @@ int main(int argc, char** argv) {
                     100.0 * (run.result.seconds - baseline) / baseline);
     }
     std::printf(
-        "%-8s %-6s %-9.0f %-10s %-10.0f %-12llu %-14s %s  (subproblem: "
+        "%-8s %-9.0f %-10s %-10.0f %-12llu %-14s %s  (subproblem: "
         "%llu msgs, %s; %llu base-refs saved %s)\n",
-        mode_name(row.mode), row.wire ? "v2" : "v1", row.interval_s,
+        mode_name(row.mode), row.interval_s,
         to_string(run.result.status), run.result.seconds,
         static_cast<unsigned long long>(run.checkpoint_msgs),
         util::format_bytes(static_cast<double>(run.checkpoint_bytes)).c_str(),
@@ -237,56 +223,47 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(run.result.base_ref_transfers),
         util::format_bytes(static_cast<double>(run.result.base_ref_bytes_saved))
             .c_str());
-    if (run.result.base_ref_payload_bytes > 0) {
-      const double warm_drop =
-          static_cast<double>(run.result.warm_ship_bytes_v1) /
-          static_cast<double>(run.result.base_ref_payload_bytes);
-      std::printf("%45swarm repeat transfers: %.2fx payload drop\n", "",
-                  warm_drop);
-    }
     std::fflush(stdout);
-    json_rows += json_row(instance, mode_name(row.mode), row.wire,
-                          row.interval_s, run, timing);
+    json_rows +=
+        json_row(instance, mode_name(row.mode), row.interval_s, run, timing);
   }
 
   // --- Warm-host repeat transfers --------------------------------------
-  // The drop the base-ref cache + bounded learned block buy on repeat
-  // ships needs a formula whose problem-clause block is not trivially
-  // small next to a learned DB; the 24-bit adder miter (~17 KB block) is
-  // the large-formula analog (see bench_common.hpp). v1 re-ships the
-  // whole DB plus the problem block on every split; v2 ships a
-  // fingerprint plus the budgeted learned block. The 30 s split timeout
-  // makes repeat ships plentiful and keeps both configs inside the
+  // The drop the base-ref cache buys on repeat ships needs a formula
+  // whose problem-clause block is not trivially small next to a learned
+  // DB; the 24-bit adder miter (~17 KB block) is the large-formula analog
+  // (see bench_common.hpp). A warm ship carries a fingerprint plus the
+  // budgeted learned block instead of the problem block. The 30 s split
+  // timeout makes repeat ships plentiful and keeps the run inside the
   // campaign cap.
   const std::string warm_instance = flags.str("warm-instance");
   if (!warm_instance.empty()) {
     const cnf::CnfFormula wf = bench::resolve_instance(warm_instance);
     std::printf("\nWarm-host repeat transfers on %s:\n", warm_instance.c_str());
-    std::printf("%-6s %-10s %-10s %-9s %-14s %-12s %s\n", "wire", "verdict",
-                "seconds", "splits", "subprob bytes", "warm ships",
-                "warm drop");
-    std::printf("%s\n", std::string(78, '-').c_str());
-    for (const bool wire : {false, true}) {
-      const Run run = run_campaign(wf, core::CheckpointMode::kNone, wire, 60.0,
-                                   false, 0.0, seed, /*split_timeout_s=*/30.0,
-                                   /*overall_timeout_s=*/50000.0);
-      const core::GridSatResult& r = run.result;
-      const double warm_drop =
-          r.base_ref_payload_bytes > 0
-              ? static_cast<double>(r.warm_ship_bytes_v1) /
-                    static_cast<double>(r.base_ref_payload_bytes)
-              : 0.0;
-      std::printf("%-6s %-10s %-10.0f %-9llu %-14s %-12llu %.2fx\n",
-                  wire ? "v2" : "v1", to_string(r.status), r.seconds,
-                  static_cast<unsigned long long>(r.total_splits),
-                  util::format_bytes(static_cast<double>(run.subproblem_bytes))
-                      .c_str(),
-                  static_cast<unsigned long long>(r.base_ref_transfers),
-                  warm_drop);
-      std::fflush(stdout);
-      json_rows += json_row(warm_instance, "warm-ship", wire, 0.0, run,
-                            CodecTiming{});
-    }
+    std::printf("%-10s %-10s %-9s %-14s %-12s %s\n", "verdict", "seconds",
+                "splits", "subprob bytes", "warm ships", "warm drop");
+    std::printf("%s\n", std::string(71, '-').c_str());
+    const Run run = run_campaign(wf, core::CheckpointMode::kNone, 60.0, false,
+                                 0.0, seed, /*split_timeout_s=*/30.0,
+                                 /*overall_timeout_s=*/50000.0);
+    const core::GridSatResult& r = run.result;
+    // What the warm ships would have cost with the problem block, over
+    // what they shipped.
+    const std::uint64_t shipped =
+        std::max<std::uint64_t>(1, r.base_ref_payload_bytes);
+    const double warm_drop =
+        static_cast<double>(shipped + r.base_ref_bytes_saved) /
+        static_cast<double>(shipped);
+    std::printf("%-10s %-10.0f %-9llu %-14s %-12llu %.2fx\n",
+                to_string(r.status), r.seconds,
+                static_cast<unsigned long long>(r.total_splits),
+                util::format_bytes(static_cast<double>(run.subproblem_bytes))
+                    .c_str(),
+                static_cast<unsigned long long>(r.base_ref_transfers),
+                warm_drop);
+    std::fflush(stdout);
+    json_rows +=
+        json_row(warm_instance, "warm-ship", 0.0, run, CodecTiming{});
   }
 
   std::printf("\nWith the root client killed at t=120 s (recovery on):\n");
@@ -296,7 +273,7 @@ int main(int argc, char** argv) {
   for (const auto mode :
        {core::CheckpointMode::kNone, core::CheckpointMode::kLight,
         core::CheckpointMode::kHeavy}) {
-    const Run run = run_campaign(f, mode, true, 60.0, true, 120.0, seed);
+    const Run run = run_campaign(f, mode, 60.0, true, 120.0, seed);
     std::printf("%-8s %-10s %-10.0f %llu\n", mode_name(mode),
                 to_string(run.result.status), run.result.seconds,
                 static_cast<unsigned long long>(

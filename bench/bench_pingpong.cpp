@@ -9,9 +9,8 @@
 // and (b) a *hard* instance, where a too-conservative timeout starves the
 // grid. The paper's 100 s sits between the regimes.
 //
-// Each timeout is run twice — with the PR-5 wire overhaul off (every
-// split ships the full problem-clause block) and on (warm hosts get a
-// base-ref) — so each row carries bytes-on-wire before/after. With
+// Each row carries the bytes on the wire and the base-ref savings (warm
+// hosts get a base reference instead of the problem-clause block). With
 // --json=FILE it appends "bench":"pingpong" JSON-Lines rows.
 //
 //   ./bench_pingpong
@@ -32,18 +31,13 @@ using namespace gridsat;  // NOLINT
 namespace {
 
 core::GridSatResult run_once(const cnf::CnfFormula& formula, double timeout,
-                             std::uint64_t seed, bool slow_wan,
-                             bool wire_overhaul) {
+                             std::uint64_t seed, bool slow_wan) {
   core::GridSatConfig config;
   config.solver.reduce_base = 1u << 30;
   config.share_max_len = 10;
   config.split_timeout_s = timeout;
   config.overall_timeout_s = 50000.0;
   config.min_client_memory = 1 << 20;
-  config.base_ref_caching = wire_overhaul;
-  config.incremental_checkpoints = wire_overhaul;
-  // Pre-overhaul ships carried the sender's whole learned DB.
-  if (!wire_overhaul) config.split_learned_budget_bytes = 0;
   config.seed = seed;
   core::Campaign campaign(formula, core::testbeds::kMasterSite,
                           core::testbeds::grads34(), config);
@@ -66,29 +60,23 @@ std::string sweep(const std::string& name, const std::string& instance,
                   bool slow_wan = false) {
   std::printf("\n%s  (sequential comparator: %.0f s)\n", name.c_str(),
               seq_seconds);
-  std::printf("%-16s %-10s %-10s %-10s %-8s %-10s %-12s %s\n",
-              "split_timeout", "verdict", "seconds", "speedup", "splits",
-              "clients", "bytes v1", "bytes v2");
-  std::printf("%s\n", std::string(92, '-').c_str());
+  std::printf("%-16s %-10s %-10s %-10s %-8s %-10s %s\n", "split_timeout",
+              "verdict", "seconds", "speedup", "splits", "clients", "bytes");
+  std::printf("%s\n", std::string(80, '-').c_str());
   std::string json_rows;
   for (const double timeout : {1.0, 5.0, 20.0, 100.0, 500.0, 2500.0}) {
-    const core::GridSatResult before =
-        run_once(formula, timeout, seed, slow_wan, /*wire_overhaul=*/false);
     const core::GridSatResult result =
-        run_once(formula, timeout, seed, slow_wan, /*wire_overhaul=*/true);
+        run_once(formula, timeout, seed, slow_wan);
     char speedup[24] = "-";
     if (result.status == core::CampaignStatus::kSat ||
         result.status == core::CampaignStatus::kUnsat) {
       std::snprintf(speedup, sizeof speedup, "%.2f",
                     seq_seconds / result.seconds);
     }
-    std::printf("%-16.0f %-10s %-10.0f %-10s %-8llu %-10zu %-12s %s\n",
-                timeout, to_string(result.status), result.seconds, speedup,
+    std::printf("%-16.0f %-10s %-10.0f %-10s %-8llu %-10zu %s\n", timeout,
+                to_string(result.status), result.seconds, speedup,
                 static_cast<unsigned long long>(result.total_splits),
                 result.max_active_clients,
-                util::format_bytes(
-                    static_cast<double>(before.bytes_transferred))
-                    .c_str(),
                 util::format_bytes(
                     static_cast<double>(result.bytes_transferred))
                     .c_str());
@@ -101,19 +89,15 @@ std::string sweep(const std::string& name, const std::string& instance,
         .field("split_timeout_s", timeout)
         .field("status", core::to_string(result.status))
         .field("seconds", result.seconds)
-        .field("seconds_wire_v1", before.seconds)
         .field("speedup_vs_seq",
                result.seconds > 0 ? seq_seconds / result.seconds : 0.0)
         .field("splits", result.total_splits)
         .field("max_clients",
                static_cast<std::uint64_t>(result.max_active_clients))
-        .field("bytes_wire_v1", before.bytes_transferred)
         .field("bytes_wire_v2", result.bytes_transferred)
         .field("base_ref_transfers", result.base_ref_transfers)
         .field("base_ref_bytes_saved", result.base_ref_bytes_saved)
         .field("base_ref_payload_bytes", result.base_ref_payload_bytes)
-        .field("warm_ship_bytes_v1", result.warm_ship_bytes_v1)
-        .field("ship_trim_bytes_saved", result.ship_trim_bytes_saved)
         .end_object();
     json_rows += json.str();
     json_rows += '\n';

@@ -23,6 +23,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cmath>
+#include <iterator>
 #include <random>
 #include <sstream>
 #include <string_view>
@@ -220,7 +221,7 @@ struct BaselineRow {
   std::string measurement;  ///< "bcp-probe" or "full-solve"
   bool binary_fast_path = false;
   bool minimize_learned = false;
-  std::string minimize;  ///< "off", "basic", or "recursive"
+  std::string minimize;  ///< "off" or "recursive"
   std::string status;
   std::uint64_t work = 0;
   std::uint64_t propagations = 0;
@@ -232,28 +233,18 @@ struct BaselineRow {
   double props_per_sec = 0.0;  ///< propagations per second of BCP time
 };
 
-/// The three learned-clause minimization tiers of the --minimize flag and
-/// the minimize_ablation rows. "recursive" is the shipping default and
-/// includes binary-resolution strengthening; "basic" is the one-reason-
-/// deep check alone; "off" is the paper-era baseline.
+/// The learned-clause minimization tiers of the --minimize flag and the
+/// minimize_ablation rows. "recursive" is the shipping default and
+/// includes binary-resolution strengthening; "off" is the paper-era
+/// baseline.
 solver::SolverConfig minimize_mode_config(std::string_view mode) {
   solver::SolverConfig config;
-  if (mode == "off") {
-    config.minimize_learned = false;
-  } else if (mode == "basic") {
-    config.minimize_learned = true;
-    config.minimize_recursive = false;
-    config.minimize_bin = false;
-  } else {  // "recursive"
-    config.minimize_learned = true;
-    config.minimize_recursive = true;
-    config.minimize_bin = true;
-  }
+  config.minimize_learned = mode != "off";
   return config;
 }
 
 bool valid_minimize_mode(std::string_view mode) {
-  return mode == "off" || mode == "basic" || mode == "recursive";
+  return mode == "off" || mode == "recursive";
 }
 
 /// One timed probe shot. The round COUNT is fixed up front (derived only
@@ -384,7 +375,7 @@ int run_baseline(int argc, char** argv) {
   flags.define_i64("budget", 0, "work units per run (0 = default)");
   flags.define_i64("repeats", 5, "timed repeats; reported times = median");
   flags.define_str("minimize", "recursive",
-                   "minimization tier in full-solve runs: off|basic|recursive");
+                   "minimization tier in full-solve runs: off|recursive");
   if (!flags.parse(argc, argv) || !valid_minimize_mode(flags.str("minimize"))) {
     std::fputs(flags.usage("bench_solver_micro").c_str(), stderr);
     return 2;
@@ -509,7 +500,7 @@ int run_baseline(int argc, char** argv) {
 }
 
 // Minimization-tier ablation (ISSUE 6 / DESIGN.md §4f): budgeted full
-// solves on learning-heavy instances under the three --minimize tiers,
+// solves on learning-heavy instances under the two --minimize tiers,
 // interleaved within each repeat so load drift cancels, medians reported.
 // Rows carry "bench":"minimize_ablation" so they can share a JSON file
 // with the --baseline object (use --append; the file then holds one JSON
@@ -552,7 +543,8 @@ int run_minimize_ablation(int argc, char** argv) {
   cases.push_back(
       {"random3sat-v500-r4.25", gen::random_ksat(500, 2125, 3, 9), {}});
 
-  static constexpr std::string_view kModes[3] = {"off", "basic", "recursive"};
+  static constexpr std::string_view kModes[] = {"off", "recursive"};
+  constexpr int kTiers = static_cast<int>(std::size(kModes));
   util::JsonWriter json;
   json.begin_object()
       .field("bench", "minimize_ablation")
@@ -594,15 +586,15 @@ int run_minimize_ablation(int argc, char** argv) {
   // trajectory, while the probe replays one fixed decision sweep over
   // whatever database each tier built — the clause-length and footprint
   // effect of minimization, isolated from the search it steered.
-  double geomean[3] = {0.0, 0.0, 0.0};
+  double geomean[kTiers] = {};
   for (const BaselineCase& c : cases) {
     const std::uint64_t rounds = std::max<std::uint64_t>(
         1, (quick ? 200'000 : 500'000) /
                std::max<cnf::Var>(1, c.formula.num_vars()));
-    std::vector<BaselineRow> solve_shots[3];
-    std::vector<BaselineRow> probe_shots[3];
+    std::vector<BaselineRow> solve_shots[kTiers];
+    std::vector<BaselineRow> probe_shots[kTiers];
     for (int rep = 0; rep < repeats; ++rep) {
-      for (int m = 0; m < 3; ++m) {
+      for (int m = 0; m < kTiers; ++m) {
         // Build the tier's database with a budgeted solve (timed: the
         // full-solve row), then sweep the fixed probe over it.
         solver::SolverConfig config = minimize_mode_config(kModes[m]);
@@ -664,7 +656,7 @@ int run_minimize_ablation(int argc, char** argv) {
         probe_shots[m].push_back(probe);
       }
     }
-    for (int m = 0; m < 3; ++m) {
+    for (int m = 0; m < kTiers; ++m) {
       emit_row(median_row(solve_shots[m]));
       const BaselineRow probe = median_row(probe_shots[m]);
       emit_row(probe);
@@ -673,7 +665,7 @@ int run_minimize_ablation(int argc, char** argv) {
   }
   json.end_array().key("geomean_probe_props_per_sec").begin_object();
   std::printf("\ndb-probe props/s geomean by minimization tier:\n");
-  for (int m = 0; m < 3; ++m) {
+  for (int m = 0; m < kTiers; ++m) {
     const double g = std::exp(geomean[m] / static_cast<double>(cases.size()));
     std::printf("  %-10s %14.0f\n", std::string(kModes[m]).c_str(), g);
     json.field(std::string(kModes[m]), g);

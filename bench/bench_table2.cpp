@@ -256,79 +256,55 @@ int main(int argc, char** argv) {
                 saved);
   }
 
-  // --- Bandwidth-constrained row: the wire-format ablation --------------
+  // --- Bandwidth-constrained row -----------------------------------------
   // The paper's subproblem transfers run to "100s of MBytes" over the
   // wide area; the scaled suite rows are too small to stress that. This
   // row uses a large unrolled-circuit analog (24-bit adder equivalence
   // miter, ~17 KB problem-clause block) and throttles every link — the
   // inter-site WAN hard, the intra-site LAN to a congested shared
   // segment (bench_pingpong's slow-WAN precedent: at the default
-  // 12 MB/s intra rate the payloads are free and only trajectory noise
-  // remains) — then reruns with the wire overhaul (base-ref caching +
-  // bounded split payloads + incremental checkpoints, DESIGN.md §4e)
-  // off and on. Warm hosts skip the problem block and ship a bounded
-  // learned block on every repeat ship, so the v2 campaign spends less
-  // virtual time waiting on the network. (The 32-bit miter is too hard
-  // for this testbed: a multi-virtual-hour campaign's search trajectory
-  // diverges between the two runs and swamps the transfer savings.)
+  // 12 MB/s intra rate the payloads are free) — so the wire format
+  // (base-ref caching + bounded split payloads + incremental
+  // checkpoints, DESIGN.md §4e) decides how long the campaign waits on
+  // the network. Warm hosts skip the problem block and get a bounded
+  // learned block on every repeat ship.
   std::printf("\n--- bandwidth-constrained row: adder_miter(24) over a slow "
               "WAN (1 s latency, 4 KB/s inter-site; 32 KB/s intra) ---\n");
-  std::printf("%-6s %-8s %-10s %-9s %-12s %-12s %s\n", "wire", "verdict",
-              "seconds", "splits", "msg bytes", "base-refs", "warm drop");
-  std::printf("%s\n", std::string(76, '-').c_str());
-  const cnf::CnfFormula miter = gen::adder_miter(24, false, 7);
-  double v1_seconds = 0.0;
-  for (const bool wire : {false, true}) {
-    core::GridSatConfig config = table2_config(scale, seed);
-    config.base_ref_caching = wire;
-    config.incremental_checkpoints = wire;
-    // Pre-overhaul ships carried the sender's whole learned DB.
-    if (!wire) config.split_learned_budget_bytes = 0;
-    core::Campaign campaign(miter, core::testbeds::kMasterSite,
-                            core::testbeds::grads27_ucsb(), config);
-    sim::LinkSpec slow;
-    slow.latency_s = 1.0;
-    slow.bandwidth_bps = 4.0 * 1024;
-    campaign.network().set_inter_site(slow);
-    sim::LinkSpec lan;
-    lan.latency_s = 0.1;
-    lan.bandwidth_bps = 32.0 * 1024;
-    campaign.network().set_intra_site(lan);
-    const core::GridSatResult r = campaign.run();
-    if (!wire) v1_seconds = r.seconds;
-    const double warm_drop =
-        r.base_ref_payload_bytes > 0
-            ? static_cast<double>(r.warm_ship_bytes_v1) /
-                  static_cast<double>(r.base_ref_payload_bytes)
-            : 0.0;
-    std::printf("%-6s %-8s %-10.0f %-9llu %-12s %-12llu %.2fx\n",
-                wire ? "v2" : "v1", to_string(r.status), r.seconds,
-                static_cast<unsigned long long>(r.total_splits),
-                util::format_bytes(static_cast<double>(r.bytes_transferred))
-                    .c_str(),
-                static_cast<unsigned long long>(r.base_ref_transfers),
-                warm_drop);
-    std::fflush(stdout);
-    util::JsonWriter json;
-    json.begin_object()
-        .field("bench", "table2_wan")
-        .field("instance", "adder_miter-24")
-        .field("wire_overhaul", wire)
-        .field("status", core::to_string(r.status))
-        .field("seconds", r.seconds)
-        .field("seconds_wire_v1", v1_seconds)
-        .field("splits", r.total_splits)
-        .field("bytes_transferred", r.bytes_transferred)
-        .field("base_ref_transfers", r.base_ref_transfers)
-        .field("base_ref_bytes_saved", r.base_ref_bytes_saved)
-        .field("base_ref_payload_bytes", r.base_ref_payload_bytes)
-        .field("warm_ship_bytes_v1", r.warm_ship_bytes_v1)
-        .field("ship_trim_bytes_saved", r.ship_trim_bytes_saved)
-        .field("warm_transfer_drop", warm_drop)
-        .end_object();
-    json_rows += json.str();
-    json_rows += '\n';
-  }
+  std::printf("%-8s %-10s %-9s %-12s %s\n", "verdict", "seconds", "splits",
+              "msg bytes", "base-refs");
+  std::printf("%s\n", std::string(52, '-').c_str());
+  core::Campaign campaign(gen::adder_miter(24, false, 7),
+                          core::testbeds::kMasterSite,
+                          core::testbeds::grads27_ucsb(),
+                          table2_config(scale, seed));
+  sim::LinkSpec slow;
+  slow.latency_s = 1.0;
+  slow.bandwidth_bps = 4.0 * 1024;
+  campaign.network().set_inter_site(slow);
+  sim::LinkSpec lan;
+  lan.latency_s = 0.1;
+  lan.bandwidth_bps = 32.0 * 1024;
+  campaign.network().set_intra_site(lan);
+  const core::GridSatResult r = campaign.run();
+  std::printf("%-8s %-10.0f %-9llu %-12s %llu\n", to_string(r.status),
+              r.seconds, static_cast<unsigned long long>(r.total_splits),
+              util::format_bytes(static_cast<double>(r.bytes_transferred))
+                  .c_str(),
+              static_cast<unsigned long long>(r.base_ref_transfers));
+  util::JsonWriter json;
+  json.begin_object()
+      .field("bench", "table2_wan")
+      .field("instance", "adder_miter-24")
+      .field("status", core::to_string(r.status))
+      .field("seconds", r.seconds)
+      .field("splits", r.total_splits)
+      .field("bytes_transferred", r.bytes_transferred)
+      .field("base_ref_transfers", r.base_ref_transfers)
+      .field("base_ref_bytes_saved", r.base_ref_bytes_saved)
+      .field("base_ref_payload_bytes", r.base_ref_payload_bytes)
+      .end_object();
+  json_rows += json.str();
+  json_rows += '\n';
 
   const std::string& path = flags.str("json");
   if (!path.empty()) {

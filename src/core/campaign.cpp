@@ -124,7 +124,7 @@ void Client::start_subproblem(std::shared_ptr<solver::Subproblem> sp,
   const std::size_t share_cap = campaign_.config().share_max_len;
   const bool collect_deltas =
       campaign_.config().checkpoint == CheckpointMode::kHeavy &&
-      campaign_.config().incremental_checkpoints;
+      campaign_.config().checkpoint_chain_max > 0;
   // The simulated campaign keeps the paper's pure length filter (§3.2).
   // The LBD rides along with each kept export: the flat path drops it,
   // the hierarchical path ships it to the sub-master, whose inter-site
@@ -288,7 +288,11 @@ void Client::compute_slice() {
       post_slice();
     });
   } else {
-    engine.schedule_in(dt, [this, status] { finish_subproblem(status); });
+    // The verdict belongs to this tenancy: a race cancel may end it, and
+    // a new subproblem may start, before the verdict lands.
+    engine.schedule_in(dt, [this, status, incarnation = ckpt_incarnation_] {
+      if (incarnation == ckpt_incarnation_) finish_subproblem(status);
+    });
   }
 }
 
@@ -394,8 +398,7 @@ void Client::maybe_checkpoint() {
   // last master-acked epoch. Fall back to a full snapshot until the
   // first ship is acked, after a NACK, and every checkpoint_chain_max
   // deltas (bounding chain memory and recovery replay length).
-  const bool delta = cp.heavy && campaign_.config().incremental_checkpoints &&
-                     ckpt_acked_epoch_ > 0 && !ckpt_force_full_ &&
+  const bool delta = cp.heavy && ckpt_acked_epoch_ > 0 && !ckpt_force_full_ &&
                      ckpt_deltas_since_full_ <
                          campaign_.config().checkpoint_chain_max;
   cp.epoch = ++ckpt_epoch_;
@@ -522,7 +525,9 @@ void Client::perform_split() {
   const std::size_t from = host_index_;
   campaign_.send_up(
       host_index_, Msg::kSplitDone, kControlMessageBytes,
-      [&c = campaign_, from, peers] { c.on_subproblem_sent(from, peers); },
+      [&c = campaign_, from, lineage = child->lineage_id, peers] {
+        c.on_subproblem_sent(from, lineage, peers);
+      },
       flow_);
 }
 
@@ -1031,6 +1036,8 @@ void Campaign::launch_client(std::size_t host_index) {
                    engine_.schedule_in(config_.client_launch_s,
                                        [this, host_index] {
                                          if (done_) return;
+                                         retired_clients_.push_back(
+                                             std::move(clients_[host_index]));
                                          clients_[host_index] =
                                              std::make_unique<Client>(
                                                  *this, host_index,
@@ -1111,29 +1118,20 @@ void Campaign::assign_subproblem(std::size_t host_index,
 Campaign::ShipPlan Campaign::plan_subproblem_ship(std::size_t to_host,
                                                   solver::Subproblem& sp) {
   sp.base_fingerprint = base_fingerprint_;
-  // What the pre-overhaul format would ship for this transfer: the whole
-  // learned block plus the problem-clause block.
-  const std::size_t pre_trim_bytes = sp.wire_size(solver::WireMode::kFull);
-  std::size_t full_bytes = pre_trim_bytes;
   if (const std::size_t budget = config_.split_learned_budget_bytes;
       budget > 0) {
-    if (const std::size_t dropped = sp.trim_learned(budget); dropped > 0) {
-      result_.ship_learned_trimmed += dropped;
-      full_bytes = sp.wire_size(solver::WireMode::kFull);
-      result_.ship_trim_bytes_saved += pre_trim_bytes - full_bytes;
-    }
+    result_.ship_learned_trimmed += sp.trim_learned(budget);
   }
+  const solver::Subproblem::WireSizes sizes = sp.wire_sizes();
   const auto resident = base_resident_.find(to_host);
-  if (config_.base_ref_caching && resident != base_resident_.end() &&
+  if (resident != base_resident_.end() &&
       resident->second == base_fingerprint_) {
-    const std::size_t ref_bytes = sp.wire_size(solver::WireMode::kBaseRef);
     ++result_.base_ref_transfers;
-    result_.base_ref_bytes_saved += full_bytes - ref_bytes;
-    result_.base_ref_payload_bytes += ref_bytes;
-    result_.warm_ship_bytes_v1 += pre_trim_bytes;
-    return {solver::WireMode::kBaseRef, ref_bytes};
+    result_.base_ref_bytes_saved += sizes.full - sizes.base_ref;
+    result_.base_ref_payload_bytes += sizes.base_ref;
+    return {solver::WireMode::kBaseRef, sizes.base_ref};
   }
-  return {solver::WireMode::kFull, full_bytes};
+  return {solver::WireMode::kFull, sizes.full};
 }
 
 void Campaign::note_base_resident(std::size_t host_index) {
@@ -1172,7 +1170,7 @@ void Campaign::on_subproblem_rejected(
   if (done_) return;
   grid::ResourceEntry& entry = directory_.at(host_index);
   if (entry.state == HostState::kReserved) entry.state = HostState::kBusy;
-  if (forget_racer(host_index)) {
+  if (is_race_copy(host_index, *sp) && forget_racer(host_index)) {
     // A racing copy bounced, but surviving cohort members hold the same
     // child: requeuing it would double-cover their search space.
     try_dispatch();
@@ -1237,7 +1235,7 @@ void Campaign::release_grant(std::size_t requester) {
   check_termination();
 }
 
-void Campaign::on_subproblem_sent(std::size_t from,
+void Campaign::on_subproblem_sent(std::size_t from, std::uint64_t lineage,
                                   std::vector<std::size_t> peers) {
   if (done_) return;
   ++result_.total_splits;
@@ -1247,7 +1245,7 @@ void Campaign::on_subproblem_sent(std::size_t from,
     // verdict wins, the master cancels the rest.
     const std::uint64_t cohort = ++next_cohort_;
     for (const std::size_t p : peers) racing_[p] = cohort;
-    cohorts_[cohort] = std::move(peers);
+    cohorts_[cohort] = {lineage, std::move(peers)};
   }
   outstanding_grants_.erase(from);
 }
@@ -1257,9 +1255,10 @@ void Campaign::on_lost_subproblem(std::shared_ptr<solver::Subproblem> sp,
   assert(subproblems_in_flight_ > 0);
   --subproblems_in_flight_;
   if (done_) return;
-  grid::ResourceEntry& entry = directory_.at(host_index);
-  if (entry.state == HostState::kReserved) entry.state = HostState::kFree;
-  if (forget_racer(host_index)) {
+  // The host stays as it is: the dead target's death notice frees it.
+  // Freeing it here would relaunch the host before that notice, which
+  // then lands on the relaunched client.
+  if (is_race_copy(host_index, *sp) && forget_racer(host_index)) {
     // The racer died before its copy arrived; co-racers cover the child.
     try_dispatch();
     check_termination();
@@ -1328,7 +1327,7 @@ void Campaign::cancel_co_racers(std::size_t winner) {
   cancel_on_ack_.erase(winner);
   const auto members = cohorts_.find(cohort);
   if (members == cohorts_.end()) return;
-  const std::vector<std::size_t> peers = std::move(members->second);
+  const std::vector<std::size_t> peers = std::move(members->second.peers);
   cohorts_.erase(members);
   for (const std::size_t peer : peers) {
     if (peer == winner) continue;
@@ -1382,7 +1381,7 @@ bool Campaign::forget_racer(std::size_t host_index) {
   cancel_on_ack_.erase(host_index);
   const auto members = cohorts_.find(cohort);
   if (members == cohorts_.end()) return false;
-  auto& peers = members->second;
+  auto& peers = members->second.peers;
   std::erase(peers, host_index);
   // Covered iff a surviving cohort member still races the same child.
   bool covered = false;
@@ -1394,6 +1393,14 @@ bool Campaign::forget_racer(std::size_t host_index) {
   }
   if (!covered) cohorts_.erase(members);
   return covered;
+}
+
+bool Campaign::is_race_copy(std::size_t host_index,
+                            const solver::Subproblem& sp) const {
+  const auto it = racing_.find(host_index);
+  if (it == racing_.end()) return false;
+  const auto cohort = cohorts_.find(it->second);
+  return cohort != cohorts_.end() && cohort->second.lineage == sp.lineage_id;
 }
 
 void Campaign::on_sat_found(std::size_t host_index, cnf::Assignment model) {
@@ -1515,7 +1522,7 @@ void Campaign::on_client_died(std::size_t host_index, bool was_busy) {
   if (entry.state == HostState::kDead) return;
   forget_backlog(host_index);
   release_grant(host_index);
-  clients_[host_index].reset();
+  retired_clients_.push_back(std::move(clients_[host_index]));
   // The process that held the cached base block is gone: later ships to
   // a relaunched client on this host must carry the clauses again.
   base_resident_.erase(host_index);

@@ -320,7 +320,8 @@ class Campaign {
   void on_split_failed(std::size_t requester, std::size_t peer);
   /// Msg 5. kHybrid ships one split child to several peers at once;
   /// `peers` with more than one entry registers a racing cohort.
-  void on_subproblem_sent(std::size_t from, std::vector<std::size_t> peers);
+  void on_subproblem_sent(std::size_t from, std::uint64_t lineage,
+                          std::vector<std::size_t> peers);
   void on_migrated(std::size_t from, std::size_t to);
   /// A subproblem transfer whose receiver died mid-flight: requeue it
   /// (checkpoint-recovery mode) or abort the run.
@@ -347,6 +348,11 @@ class Campaign {
   /// payload). Returns true when a surviving cohort member still covers
   /// the same split child — the caller may then skip recovery entirely.
   bool forget_racer(std::size_t host_index);
+  /// True when `sp` is the copy of its cohort's split child that
+  /// `host_index` races. A collision can bounce some other payload off a
+  /// racing host; that payload is nobody's race copy and must be requeued.
+  [[nodiscard]] bool is_race_copy(std::size_t host_index,
+                                  const solver::Subproblem& sp) const;
   void on_sat_found(std::size_t host_index, cnf::Assignment model);
   void on_client_clauses(std::size_t from,
                          std::shared_ptr<std::vector<cnf::Clause>> batch);
@@ -541,6 +547,10 @@ class Campaign {
   grid::ResourceDirectory directory_;
   std::vector<std::unique_ptr<sim::Host>> hosts_;
   std::vector<std::unique_ptr<Client>> clients_;
+  /// Replaced or dead clients, kept allocated until the campaign ends: a
+  /// compute slice they scheduled may still be queued, and it must find a
+  /// dead client rather than freed memory.
+  std::vector<std::unique_ptr<Client>> retired_clients_;
   /// Pre-interned per-host ids, parallel to hosts_.
   std::vector<std::uint32_t> endpoint_ids_;
   std::vector<std::uint32_t> site_ids_;
@@ -567,8 +577,11 @@ class Campaign {
   std::uint64_t next_cohort_ = 0;
   /// host -> cohort id, for hosts currently racing a hybrid subproblem.
   std::map<std::size_t, std::uint64_t> racing_;
-  /// cohort id -> member hosts still racing.
-  std::map<std::uint64_t, std::vector<std::size_t>> cohorts_;
+  struct Cohort {
+    std::uint64_t lineage = 0;       ///< the split child every member races
+    std::vector<std::size_t> peers;  ///< member hosts still racing
+  };
+  std::map<std::uint64_t, Cohort> cohorts_;
   /// Racers owed a cancel as soon as their ack arrives (the cancel needs
   /// the tenancy's incarnation nonce, which only the ack announces).
   std::set<std::size_t> cancel_on_ack_;

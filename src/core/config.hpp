@@ -68,25 +68,19 @@ struct GridSatConfig {
   /// client's death aborts the run, matching the paper's stated limits.
   bool recover_from_checkpoints = false;
 
-  /// Wire-transfer overhaul knobs (DESIGN.md §4e). Base-formula caching:
-  /// hosts that already hold the problem-clause block receive a
-  /// fingerprint reference instead of the clause bytes on later splits/
-  /// migrations; a residency mismatch renegotiates to a full ship.
-  bool base_ref_caching = true;
-  /// Heavy checkpoints ship one full snapshot per subproblem incarnation
-  /// and then deltas carrying only the clauses learned since the last
-  /// master-acked epoch; the master keeps the full+delta chain.
-  bool incremental_checkpoints = true;
-  /// Re-ship a full heavy checkpoint after this many deltas, bounding
-  /// both the master's chain memory and the recovery replay length.
+  /// Wire-transfer knobs (DESIGN.md §4e). Heavy checkpoints ship one full
+  /// snapshot per subproblem incarnation and then deltas carrying only the
+  /// clauses learned since the last master-acked epoch; the master keeps
+  /// the full+delta chain. A full snapshot is re-shipped after this many
+  /// deltas, bounding both the master's chain memory and the recovery
+  /// replay length; 0 ships full snapshots only.
   std::size_t checkpoint_chain_max = 8;
   /// Budget (bytes) for the learned-clause block shipped with a split or
-  /// migration; 0 = unlimited (ship the sender's whole DB, the
-  /// pre-overhaul behavior). The HordeSat lesson: bounded exchange
-  /// buffers are what make clause traffic scale. The sharing layer
-  /// already streams high-value clauses to every client, so the split
-  /// payload only needs the base reference, the guiding path, and the
-  /// strongest (shortest) learned clauses under this budget. 64 KiB
+  /// migration; 0 = unlimited (ship the sender's whole DB). The HordeSat
+  /// lesson: bounded exchange buffers are what make clause traffic scale.
+  /// The sharing layer already streams high-value clauses to every client,
+  /// so the split payload only needs the base reference, the guiding path,
+  /// and the strongest (shortest) learned clauses under this budget. 64 KiB
   /// keeps typical mid-campaign ships whole and caps only the long
   /// accumulated tail (the paper's "100s of MBytes" regime); smaller
   /// budgets save more bytes but make receivers re-derive more.

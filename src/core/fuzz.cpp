@@ -108,24 +108,22 @@ ScenarioOutcome run_scenario(std::uint64_t seed, obs::Tracer* tracer) {
       break;
   }
   config.recover_from_checkpoints = !rng.chance(4);
-  // Wire-transfer dimensions (DESIGN.md §4e): base-ref caching and
-  // incremental checkpoint chains interleave with kills/recoveries so the
-  // proof oracle sweeps chain restores and renegotiated base ships.
-  config.base_ref_caching = !rng.chance(4);
-  config.incremental_checkpoints = !rng.chance(4);
-  config.checkpoint_chain_max = rng.range(1, 8);
+  // Wire-transfer dimensions (DESIGN.md §4e): checkpoint chains interleave
+  // with kills/recoveries so the proof oracle sweeps chain restores and
+  // renegotiated base ships; a chain cap of 0 keeps the full-only
+  // checkpoint path covered.
+  config.checkpoint_chain_max = rng.range(0, 8);
   // Bounded split payloads: trimming the shipped learned block must never
   // change a verdict (dropped clauses are consequences), including at
   // budgets small enough to drop everything.
   config.split_learned_budget_bytes =
       rng.chance(3) ? 0 : static_cast<std::size_t>(rng.range(64, 4096));
-  // Learned-clause pipeline dimensions (DESIGN.md §4f): minimization
-  // (basic and recursive), binary-resolution strengthening, on-the-fly
+  // Learned-clause pipeline dimensions (DESIGN.md §4f): recursive
+  // minimization, binary-resolution strengthening, on-the-fly
   // subsumption, and the locality compaction all interleave with splits,
   // sharing, checkpoints, and the proof oracle — every strengthened
   // clause must stay globally valid (taint rules) and RUP (certification).
   config.solver.minimize_learned = !rng.chance(4);
-  config.solver.minimize_recursive = !rng.chance(3);
   config.solver.minimize_bin = !rng.chance(3);
   config.solver.otf_subsume = !rng.chance(3);
   config.solver.arena_compact = !rng.chance(3);

@@ -642,41 +642,6 @@ void CdclSolver::analyze(ClauseRef confl, std::vector<Lit>& learned,
 }
 
 void CdclSolver::minimize(std::vector<Lit>& learned) {
-  const std::size_t before = learned.size();
-  if (config_.minimize_recursive) {
-    minimize_deep(learned);
-  } else {
-    minimize_basic(learned);
-  }
-  stats_.minimized_literals += before - learned.size();
-}
-
-void CdclSolver::minimize_basic(std::vector<Lit>& learned) {
-  // Local minimization: a literal is redundant if its reason clause is
-  // subsumed by the rest of the learned clause plus untainted level-0
-  // facts. (Self-subsuming resolution; MiniSat's "basic" mode.)
-  for (const Lit l : learned) seen_[l.var()] = 1;
-  std::size_t keep = 1;
-  for (std::size_t i = 1; i < learned.size(); ++i) {
-    const Var v = learned[i].var();
-    const ClauseRef r = vars_[v].reason;
-    bool redundant = r != kDecisionReason && r != kNoClause && vars_[v].level > 0;
-    if (redundant) {
-      for (const Lit q : arena_.lits(r)) {
-        if (q.var() == v) continue;
-        if (seen_[q.var()]) continue;
-        if (vars_[q.var()].level == 0 && !vars_[q.var()].taint) continue;
-        redundant = false;
-        break;
-      }
-    }
-    if (!redundant) learned[keep++] = learned[i];
-  }
-  for (const Lit l : learned) seen_[l.var()] = 0;
-  learned.resize(keep);
-}
-
-void CdclSolver::minimize_deep(std::vector<Lit>& learned) {
   // Recursive minimization (MiniSat litRedundant / dawn otf=2): a literal
   // is redundant if the DFS over its reason antecedents bottoms out
   // entirely in other clause literals and untainted level-0 facts.
@@ -703,6 +668,7 @@ void CdclSolver::minimize_deep(std::vector<Lit>& learned) {
                            lit_redundant(learned[i], levels_mask);
     if (!droppable) learned[keep++] = learned[i];
   }
+  stats_.minimized_literals += learned.size() - keep;
   learned.resize(keep);
 }
 

@@ -125,12 +125,6 @@ struct SolverConfig {
   /// off for paper-era fidelity or the ablation baseline.
   bool minimize_learned = true;
 
-  /// Recursive stamp-based minimization (MiniSat's "deep" mode / dawn's
-  /// otf=2): DFS over reason antecedents with memoized redundant/required
-  /// verdicts and an abstraction-level filter. false = the basic local
-  /// check (one reason deep) only.
-  bool minimize_recursive = true;
-
   /// Binary-resolution strengthening of the learned clause: resolve
   /// against binary clauses watching the asserting literal to drop
   /// further literals (Glucose's minimisationWithBinaryResolution). Only
@@ -184,8 +178,8 @@ struct SolverStats {
   std::uint64_t restarts = 0;
   std::uint64_t learned_clauses = 0;
   std::uint64_t learned_literals = 0;
-  /// Literals removed from learned clauses by minimization (basic or
-  /// recursive) before attach; not counted in learned_literals.
+  /// Literals removed from learned clauses by recursive minimization
+  /// before attach; not counted in learned_literals.
   std::uint64_t minimized_literals = 0;
   /// Literals removed by binary-resolution strengthening of the learned
   /// clause (on top of minimization).
@@ -432,8 +426,6 @@ class CdclSolver {
                std::uint32_t& backjump_level, cnf::Lit& uip,
                std::uint32_t& lbd);
   void minimize(std::vector<cnf::Lit>& learned);
-  void minimize_basic(std::vector<cnf::Lit>& learned);
-  void minimize_deep(std::vector<cnf::Lit>& learned);
   /// Recursive-minimization probe: true when `root` (a learned-clause
   /// literal) is implied by the rest of the clause plus untainted level-0
   /// facts, established by DFS over reason antecedents. `levels_mask` is
@@ -561,7 +553,7 @@ class CdclSolver {
   std::vector<std::uint64_t> lbd_stamp_;
   std::uint64_t lbd_stamp_counter_ = 0;
 
-  // Recursive-minimization scratch (minimize_deep): per-variable verdict
+  // Recursive-minimization scratch (minimize): per-variable verdict
   // memo, valid for the current epoch only (O(1) reset per minimize()
   // call). kMinSupport = in the learned clause, proven redundant, or on
   // the current probe path; kMinPoison = proven required by an intrinsic

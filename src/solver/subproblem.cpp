@@ -10,6 +10,15 @@ std::size_t Subproblem::wire_size(WireMode mode) const {
   return counter.size();
 }
 
+Subproblem::WireSizes Subproblem::wire_sizes() const {
+  util::ByteCounter problem;
+  cnf::encode_clause_stream(
+      problem, std::span<const cnf::Clause>(clauses).first(
+                   static_cast<std::size_t>(num_problem_clauses)));
+  const std::size_t base_ref = wire_size(WireMode::kBaseRef);
+  return {base_ref + problem.size(), base_ref};
+}
+
 void Subproblem::serialize(util::ByteWriter& out, WireMode mode) const {
   serialize_to(out, mode);
 }
@@ -85,22 +94,33 @@ std::size_t Subproblem::trim_learned(std::size_t budget_bytes) {
                    [](const cnf::Clause& a, const cnf::Clause& b) {
                      return a.size() < b.size();
                    });
-  // Per-clause cost is over-estimated (raw literal-code varints; the gap
-  // encoding on the wire is tighter), so the encoded block always fits
-  // the budget.
+  // Charge an upper bound on the encoded stream. Each literal costs its
+  // raw code varint (a sorted gap is never wider than the code it
+  // replaces). Bookkeeping costs one byte per clause, but never less than
+  // a bound on the real headers: the count varint plus one (len, run)
+  // header per length run, where neither the kept count nor a run can
+  // exceed the learned count. Long runs make the per-clause byte the
+  // larger charge; short runs of few clauses make the headers larger. The
+  // encoded block therefore always fits the budget.
   const auto varint_size = [](std::uint64_t v) {
     std::size_t n = 1;
     while ((v >>= 7) != 0) ++n;
     return n;
   };
-  std::size_t spent = 0;
+  const std::size_t count_bytes = varint_size(clauses.size() - first);
+  std::size_t headers = count_bytes;
+  std::size_t literals = 0;
   std::size_t keep = first;
-  while (keep < clauses.size()) {
-    std::size_t cost = 1;  // length/run bookkeeping upper bound
-    for (const cnf::Lit l : clauses[keep]) cost += varint_size(l.code());
-    if (spent + cost > budget_bytes) break;
-    spent += cost;
-    ++keep;
+  for (; keep < clauses.size(); ++keep) {
+    const cnf::Clause& c = clauses[keep];
+    const bool new_run = keep == first || c.size() != clauses[keep - 1].size();
+    const std::size_t h =
+        headers + (new_run ? varint_size(c.size()) + count_bytes : 0);
+    std::size_t l = literals;
+    for (const cnf::Lit lit : c) l += varint_size(lit.code());
+    if (std::max(keep - first + 1, h) + l > budget_bytes) break;
+    headers = h;
+    literals = l;
   }
   const std::size_t dropped = clauses.size() - keep;
   clauses.resize(keep);

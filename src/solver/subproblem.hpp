@@ -137,6 +137,16 @@ struct Subproblem {
   /// serialize().size() by construction.
   [[nodiscard]] std::size_t wire_size(WireMode mode = WireMode::kFull) const;
 
+  /// Sizes of both wire forms, encoding each block once: the two frames
+  /// differ only in the problem-clause stream, so `full` is `base_ref`
+  /// plus that stream's encoded size. Each equals wire_size() in its
+  /// mode.
+  struct WireSizes {
+    std::size_t full = 0;
+    std::size_t base_ref = 0;
+  };
+  [[nodiscard]] WireSizes wire_sizes() const;
+
   template <class W>
   void serialize_to(W& out, WireMode mode = WireMode::kFull) const {
     const std::span<const cnf::Clause> all(clauses);
@@ -165,7 +175,7 @@ struct Subproblem {
   /// rehydrated (DESIGN.md §4e).
   void rehydrate(std::span<const cnf::Clause> base);
 
-  /// Bound the learned-clause block to ~`budget_bytes` of encoded size,
+  /// Bound the encoded learned-clause block to `budget_bytes` (>= 1),
   /// keeping the shortest (strongest) clauses. Learned clauses are
   /// consequences of the original formula, so dropping any subset is
   /// always sound — the receiver re-derives what it needs and the

@@ -31,6 +31,15 @@ TEST_P(CertifyFuzzTest, ScenarioSatisfiesTheOracle) {
 INSTANTIATE_TEST_SUITE_P(Seeds, CertifyFuzzTest,
                          ::testing::Range<std::uint64_t>(1, 25));
 
+// Seeds that once broke the oracle: 44 (a hybrid child bounced off a host
+// racing another child was dropped), 1034 (a relaunch freed a dead client
+// whose compute slice was still queued), 1484 (a racer's stale verdict
+// refuted the child it started after a race cancel), 10660 (a host was
+// relaunched before the master noticed its client's death).
+INSTANTIATE_TEST_SUITE_P(Regressions, CertifyFuzzTest,
+                         ::testing::Values<std::uint64_t>(44, 1034, 1484,
+                                                          10660));
+
 TEST(CertifyFuzzAggregateTest, SweepExercisesEveryScenarioDimension) {
   if (!solver::kProofCompiledIn) GTEST_SKIP() << "GRIDSAT_PROOF is off";
   // The oracle only means something if the sweep actually reaches the
@@ -65,14 +74,15 @@ TEST(CertifyFuzzAggregateTest, SweepExercisesEveryScenarioDimension) {
 }
 
 // Calibrated regression (recalibrate if scenario derivation changes):
-// seed 6 draws a hierarchical UNSAT campaign whose sub-master dies inside
+// seed 67 draws a hierarchical UNSAT campaign whose sub-masters die inside
 // the summary-forwarding window — in-flight reports bounce to the root,
-// the site is re-homed, and the refutation must still stitch and certify.
+// the sites are re-homed, and the refutation must still stitch and
+// certify.
 TEST(CertifyFuzzRegressionTest, SubMasterDeathInSummaryWindowCertifies) {
   if (!solver::kProofCompiledIn) GTEST_SKIP() << "GRIDSAT_PROOF is off";
-  const fuzz::ScenarioOutcome o = fuzz::run_scenario(6);
+  const fuzz::ScenarioOutcome o = fuzz::run_scenario(67);
   ASSERT_TRUE(o.ok()) << fuzz::describe(o);
-  ASSERT_GT(o.sub_masters, 0u) << "seed 6 no longer draws a hierarchical "
+  ASSERT_GT(o.sub_masters, 0u) << "seed 67 no longer draws a hierarchical "
                                   "scenario; recalibrate\n"
                                << fuzz::describe(o);
   EXPECT_GT(o.sub_master_kills, 0u);

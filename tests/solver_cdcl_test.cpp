@@ -363,29 +363,6 @@ TEST(CdclStatsTest, ShareCallbackSeesEveryLearnedClause) {
   EXPECT_EQ(shared, solver.stats().exported_clauses);
 }
 
-TEST(CdclMinimizeTest, RecursiveBeatsBasicOnClauseLength) {
-  // The recursive DFS can only remove more literals than the one-reason-
-  // deep check: on a pigeonhole run both modes terminate with the same
-  // verdict, and the deep mode's average learned length is no longer.
-  const CnfFormula f = gen::pigeonhole_unsat(7);
-  SolverConfig basic;
-  basic.minimize_recursive = false;
-  basic.minimize_bin = false;
-  basic.otf_subsume = false;
-  SolverConfig deep = basic;
-  deep.minimize_recursive = true;
-  CdclSolver a(f, basic);
-  CdclSolver b(f, deep);
-  EXPECT_EQ(a.solve(), SolveStatus::kUnsat);
-  EXPECT_EQ(b.solve(), SolveStatus::kUnsat);
-  EXPECT_GT(b.stats().minimized_literals, 0u);
-  const double avg_a = static_cast<double>(a.stats().learned_literals) /
-                       static_cast<double>(a.stats().learned_clauses);
-  const double avg_b = static_cast<double>(b.stats().learned_literals) /
-                       static_cast<double>(b.stats().learned_clauses);
-  EXPECT_LE(avg_b, avg_a + 0.5);
-}
-
 TEST(CdclMinimizeTest, DifferentialSweepAgainstPlainPipeline) {
   // Differential fuzz over the whole learned-clause pipeline: for each
   // random instance, solve once with minimization + binary strengthening
