@@ -44,8 +44,7 @@ struct Run {
 
 Run run_campaign(const cnf::CnfFormula& f, core::CheckpointMode mode,
                  double interval_s, bool recover,
-                 double kill_at, std::uint64_t seed,
-                 double split_timeout_s = 100.0,
+                 double kill_at, double split_timeout_s = 100.0,
                  double overall_timeout_s = 12000.0) {
   core::GridSatConfig config;
   config.solver.reduce_base = 1u << 30;
@@ -56,7 +55,6 @@ Run run_campaign(const cnf::CnfFormula& f, core::CheckpointMode mode,
   config.checkpoint = mode;
   config.checkpoint_interval_s = interval_s;
   config.recover_from_checkpoints = recover;
-  config.seed = seed;
   core::Campaign campaign(f, core::testbeds::kMasterSite,
                           core::testbeds::grads34(), config);
   campaign.bus().enable_trace();
@@ -170,7 +168,6 @@ int main(int argc, char** argv) {
   flags.define_str("warm-instance", "adder-miter-24",
                    "large-formula instance for the warm-transfer table "
                    "(empty = skip)");
-  flags.define_i64("seed", 2003, "campaign seed");
   flags.define_str("json", "", "write JSON-Lines rows to this file");
   flags.define_bool("append", false, "append to --json instead of truncating");
   if (!flags.parse(argc, argv)) {
@@ -179,7 +176,6 @@ int main(int argc, char** argv) {
   }
   const std::string instance = flags.str("instance");
   const cnf::CnfFormula f = bench::resolve_instance(instance);
-  const auto seed = static_cast<std::uint64_t>(flags.i64("seed"));
 
   const CodecTiming timing = time_codec(f);
   std::printf("Checkpointing overhead on %s\n", instance.c_str());
@@ -204,7 +200,7 @@ int main(int argc, char** argv) {
                         Row{core::CheckpointMode::kHeavy, 60.0},
                         Row{core::CheckpointMode::kHeavy, 15.0}}) {
     const Run run =
-        run_campaign(f, row.mode, row.interval_s, false, 0.0, seed);
+        run_campaign(f, row.mode, row.interval_s, false, 0.0);
     if (row.mode == core::CheckpointMode::kNone) baseline = run.result.seconds;
     char overhead[24] = "-";
     if (baseline > 0) {
@@ -244,7 +240,7 @@ int main(int argc, char** argv) {
                 "splits", "subprob bytes", "warm ships", "warm drop");
     std::printf("%s\n", std::string(71, '-').c_str());
     const Run run = run_campaign(wf, core::CheckpointMode::kNone, 60.0, false,
-                                 0.0, seed, /*split_timeout_s=*/30.0,
+                                 0.0, /*split_timeout_s=*/30.0,
                                  /*overall_timeout_s=*/50000.0);
     const core::GridSatResult& r = run.result;
     // What the warm ships would have cost with the problem block, over
@@ -273,7 +269,7 @@ int main(int argc, char** argv) {
   for (const auto mode :
        {core::CheckpointMode::kNone, core::CheckpointMode::kLight,
         core::CheckpointMode::kHeavy}) {
-    const Run run = run_campaign(f, mode, 60.0, true, 120.0, seed);
+    const Run run = run_campaign(f, mode, 60.0, true, 120.0);
     std::printf("%-8s %-10s %-10.0f %llu\n", mode_name(mode),
                 to_string(run.result.status), run.result.seconds,
                 static_cast<unsigned long long>(

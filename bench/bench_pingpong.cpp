@@ -31,14 +31,13 @@ using namespace gridsat;  // NOLINT
 namespace {
 
 core::GridSatResult run_once(const cnf::CnfFormula& formula, double timeout,
-                             std::uint64_t seed, bool slow_wan) {
+                             bool slow_wan) {
   core::GridSatConfig config;
   config.solver.reduce_base = 1u << 30;
   config.share_max_len = 10;
   config.split_timeout_s = timeout;
   config.overall_timeout_s = 50000.0;
   config.min_client_memory = 1 << 20;
-  config.seed = seed;
   core::Campaign campaign(formula, core::testbeds::kMasterSite,
                           core::testbeds::grads34(), config);
   if (slow_wan) {
@@ -56,8 +55,7 @@ core::GridSatResult run_once(const cnf::CnfFormula& formula, double timeout,
 
 std::string sweep(const std::string& name, const std::string& instance,
                   const std::string& regime, const cnf::CnfFormula& formula,
-                  double seq_seconds, std::uint64_t seed,
-                  bool slow_wan = false) {
+                  double seq_seconds, bool slow_wan = false) {
   std::printf("\n%s  (sequential comparator: %.0f s)\n", name.c_str(),
               seq_seconds);
   std::printf("%-16s %-10s %-10s %-10s %-8s %-10s %s\n", "split_timeout",
@@ -66,7 +64,7 @@ std::string sweep(const std::string& name, const std::string& instance,
   std::string json_rows;
   for (const double timeout : {1.0, 5.0, 20.0, 100.0, 500.0, 2500.0}) {
     const core::GridSatResult result =
-        run_once(formula, timeout, seed, slow_wan);
+        run_once(formula, timeout, slow_wan);
     char speedup[24] = "-";
     if (result.status == core::CampaignStatus::kSat ||
         result.status == core::CampaignStatus::kUnsat) {
@@ -119,14 +117,12 @@ int main(int argc, char** argv) {
   util::Flags flags;
   flags.define_str("easy", "w10_75.cnf", "easy suite row");
   flags.define_str("hard", "homer12.cnf", "hard suite row");
-  flags.define_i64("seed", 2003, "campaign seed");
   flags.define_str("json", "", "write JSON-Lines rows to this file");
   flags.define_bool("append", false, "append to --json instead of truncating");
   if (!flags.parse(argc, argv)) {
     std::fputs(flags.usage("bench_pingpong").c_str(), stderr);
     return 2;
   }
-  const auto seed = static_cast<std::uint64_t>(flags.i64("seed"));
 
   std::printf("Split-timeout sweep: the ping-pong effect (paper S3.1/S3.3)\n");
 
@@ -135,13 +131,13 @@ int main(int argc, char** argv) {
   const cnf::CnfFormula easy_formula = easy.make();
   const double easy_seq = sequential_seconds(easy_formula);
   json_rows += sweep("EASY: " + easy.paper_name + " (" + easy.analog + ")",
-                     easy.paper_name, "easy", easy_formula, easy_seq, seed);
+                     easy.paper_name, "easy", easy_formula, easy_seq);
 
   const auto& hard = gen::suite::by_name(flags.str("hard"));
   const cnf::CnfFormula hard_formula = hard.make();
   json_rows += sweep("HARD: " + hard.paper_name + " (" + hard.analog + ")",
                      hard.paper_name, "hard", hard_formula,
-                     sequential_seconds(hard_formula), seed);
+                     sequential_seconds(hard_formula));
 
   // The ping-pong regime proper (§3.1): when moving a subproblem costs
   // as much as solving it, aggressive splitting makes the grid *slower*
@@ -149,7 +145,7 @@ int main(int argc, char** argv) {
   // than actually investigating assignment values".
   json_rows += sweep("EASY over a slow WAN: " + easy.paper_name,
                      easy.paper_name, "easy_slow_wan", easy_formula, easy_seq,
-                     seed, /*slow_wan=*/true);
+                     /*slow_wan=*/true);
 
   const std::string& path = flags.str("json");
   if (!path.empty()) {

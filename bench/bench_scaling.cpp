@@ -395,7 +395,6 @@ int run_sim_mode(const util::Flags& flags) {
     config.split_timeout_s = 100.0;
     config.overall_timeout_s = 200000.0;
     config.min_client_memory = 1 << 20;
-    config.seed = static_cast<std::uint64_t>(flags.i64("seed"));
     core::Campaign campaign(formula, core::testbeds::kMasterSite, hosts,
                             config);
     // With --trace, each sweep point overwrites the file: what remains is
@@ -463,7 +462,6 @@ int main(int argc, char** argv) {
   flags.define_str("instance", "rand_net50-60-5.cnf",
                    "suite row to solve (sim mode)");
   flags.define_str("pools", "1,2,4,8,16,24,34", "pool sizes to sweep (sim)");
-  flags.define_i64("seed", 2003, "campaign seed (sim)");
   if (!flags.parse(argc, argv)) {
     std::fputs(flags.usage("bench_scaling").c_str(), stderr);
     return 2;

@@ -157,7 +157,6 @@ int run_sim_mode(const util::Flags& flags) {
     config.split_timeout_s = 100.0;
     config.overall_timeout_s = 12000.0;
     config.min_client_memory = 1 << 20;
-    config.seed = static_cast<std::uint64_t>(flags.i64("seed"));
     core::Campaign campaign(formula, core::testbeds::kMasterSite,
                             core::testbeds::grads34(), config);
     const core::GridSatResult result = campaign.run();
@@ -193,7 +192,6 @@ int main(int argc, char** argv) {
   // sim mode
   flags.define_str("lens", "0,1,3,10,20,50",
                    "comma-separated share-length caps to sweep (sim)");
-  flags.define_i64("seed", 2003, "campaign seed (sim)");
   if (!flags.parse(argc, argv)) {
     std::fputs(flags.usage("bench_sharing_ablation").c_str(), stderr);
     return 2;

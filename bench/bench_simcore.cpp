@@ -498,7 +498,6 @@ ScaleRow run_scale_row(const cnf::CnfFormula& formula, std::size_t n_hosts,
   config.split_timeout_s = 5.0;
   config.overall_timeout_s = 50000.0;
   config.min_client_memory = 1 << 20;
-  config.seed = seed;
   config.sub_masters = sub_masters;  // 0 = flat master
   core::Campaign campaign(formula, "grid0",
                           core::testbeds::synthetic_grid(n_hosts, 8, seed),
@@ -522,7 +521,7 @@ int main(int argc, char** argv) {
                    "instance for the table2_scale rows");
   flags.define_str("topology", "both",
                    "table2_scale master topology: flat | hier | both");
-  flags.define_i64("seed", 2003, "workload/campaign seed");
+  flags.define_i64("seed", 2003, "workload/testbed seed");
   flags.define_str("json", "", "write JSON-Lines rows to this file");
   flags.define_bool("append", false, "append to --json instead of truncating");
   if (!flags.parse(argc, argv)) {

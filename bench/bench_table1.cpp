@@ -66,7 +66,6 @@ int main(int argc, char** argv) {
   flags.define_f64("scale", 1.0, "multiply all time caps by this factor");
   flags.define_bool("seq-only", false, "run only the sequential comparator");
   flags.define_bool("grid-only", false, "run only GridSAT");
-  flags.define_i64("seed", 2003, "campaign seed");
   flags.define_bool("compact", solver::SolverConfig{}.arena_compact,
                     "locality-aware arena compaction on DB reductions "
                     "(--compact=false for the pre-overhaul layout)");
@@ -139,7 +138,6 @@ int main(int argc, char** argv) {
                                                                    : 12000.0) *
           scale;
       config.min_client_memory = 1 << 20;
-      config.seed = static_cast<std::uint64_t>(flags.i64("seed"));
       core::Campaign campaign(formula, core::testbeds::kMasterSite,
                               core::testbeds::grads34(), config);
       core::GridSatResult grid = campaign.run();

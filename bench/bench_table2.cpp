@@ -39,15 +39,13 @@ struct Table2Outcome {
   }
 };
 
-core::GridSatConfig table2_config(double scale, std::uint64_t seed,
-                                  std::size_t sub_masters = 0) {
+core::GridSatConfig table2_config(double scale, std::size_t sub_masters = 0) {
   core::GridSatConfig config;
   config.solver.reduce_base = 1u << 30;  // 2003-era DB policy
   config.share_max_len = 3;              // second experiment set (§4)
   config.split_timeout_s = 100.0 * scale;
   config.overall_timeout_s = 1e12;  // the batch job bounds the run
   config.min_client_memory = 1 << 20;
-  config.seed = seed;
   config.sub_masters = sub_masters;  // 0 = flat master
   return config;
 }
@@ -72,7 +70,7 @@ Table2Outcome run_row(const gen::suite::SuiteInstance& row, double scale,
   std::vector<sim::HostSpec> hosts;
   if (grid_hosts_present) hosts = core::testbeds::grads27_ucsb();
   core::Campaign campaign(formula, core::testbeds::kMasterSite, hosts,
-                          table2_config(scale, seed, sub_masters));
+                          table2_config(scale, sub_masters));
   core::BatchOptions batch = make_batch(scale, bh_nodes, seed);
   batch.max_duration_s *= duration_factor;  // the BH-alone control resubmits
                                             // until the instance completes
@@ -105,7 +103,7 @@ int main(int argc, char** argv) {
   util::Flags flags;
   flags.define_f64("scale", 0.3, "wall-clock scale vs the paper protocol");
   flags.define_i64("bh-nodes", 10, "Blue Horizon nodes granted to the job");
-  flags.define_i64("seed", 2003, "campaign + queue seed");
+  flags.define_i64("seed", 2003, "batch queue + node seed");
   flags.define_str("row", "", "only rows whose paper name contains this");
   flags.define_bool("quick", false,
                     "CI smoke: tiny clock scale, one suite row, no controls");
@@ -276,7 +274,7 @@ int main(int argc, char** argv) {
   core::Campaign campaign(gen::adder_miter(24, false, 7),
                           core::testbeds::kMasterSite,
                           core::testbeds::grads27_ucsb(),
-                          table2_config(scale, seed));
+                          table2_config(scale));
   sim::LinkSpec slow;
   slow.latency_s = 1.0;
   slow.bandwidth_bps = 4.0 * 1024;

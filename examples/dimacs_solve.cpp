@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
     config.split_timeout_s = flags.f64("split-timeout");
     config.overall_timeout_s = flags.f64("timeout");
     config.min_client_memory = 1 << 20;
-    config.seed = static_cast<std::uint64_t>(flags.i64("seed"));
+    config.solver.seed = static_cast<std::uint64_t>(flags.i64("seed"));
     core::Campaign campaign(formula, core::testbeds::kMasterSite,
                             core::testbeds::grads34(), config);
     const core::GridSatResult result = campaign.run();

@@ -85,8 +85,9 @@ void Client::start_subproblem(std::shared_ptr<solver::Subproblem> sp,
     // to a base-block transfer followed by a full start — a stale cache
     // can cost a round trip, never a wrong formula.
     const std::size_t host = host_index_;
-    campaign_.send_to_master(
-        host_index_, Msg::kBaseMiss, kControlMessageBytes,
+    campaign_.send(
+        campaign_.host_endpoint(host), campaign_.root_endpoint(),
+        Msg::kBaseMiss, kControlMessageBytes,
         [&c = campaign_, host, sp] { c.on_base_miss(host, sp); },
         sp->flow_id);
     return;
@@ -176,36 +177,24 @@ void Client::receive_clauses(std::shared_ptr<std::vector<cnf::Clause>> batch) {
   solver_->import_clauses(*batch);
 }
 
-void Client::grant_split(std::vector<std::size_t> peer_hosts) {
+void Client::grant_split(std::vector<std::size_t> peer_hosts, bool migrate) {
   if (!alive_ || peer_hosts.empty()) return;
   if (!solver_) {
     // Finished in the meantime: give the reservation back (the master
     // will re-dispatch the peers to someone else; release_grant frees
-    // every reserved peer of this grant, not just the one echoed here).
+    // every reserved peer of this grant).
     const std::size_t requester = host_index_;
-    const std::size_t peer = peer_hosts.front();
-    campaign_.send_up(
-        host_index_, Msg::kSplitFailed, kControlMessageBytes,
-        [&c = campaign_, requester, peer] {
-          c.on_split_failed(requester, peer);
-        });
+    campaign_.send_up(host_index_, Msg::kSplitFailed, kControlMessageBytes,
+                      [&c = campaign_, requester] {
+                        c.on_split_failed(requester);
+                      });
     return;
   }
-  pending_split_peers_ = std::move(peer_hosts);
-}
-
-void Client::order_migration(std::size_t peer_host) {
-  if (!alive_) return;
-  if (!solver_) {
-    const std::size_t requester = host_index_;
-    campaign_.send_up(
-        host_index_, Msg::kSplitFailed, kControlMessageBytes,
-        [&c = campaign_, requester, peer_host] {
-          c.on_split_failed(requester, peer_host);
-        });
-    return;
+  if (migrate) {
+    pending_migrate_peer_ = static_cast<std::ptrdiff_t>(peer_hosts.front());
+  } else {
+    pending_split_peers_ = std::move(peer_hosts);
   }
-  pending_migrate_peer_ = static_cast<std::ptrdiff_t>(peer_host);
 }
 
 void Client::cancel_subproblem(std::uint64_t incarnation) {
@@ -218,19 +207,24 @@ void Client::cancel_subproblem(std::uint64_t incarnation) {
   // The loser's work still counts (and its exported clauses stay valid —
   // every learned clause is a consequence of the shared formula), but the
   // tenancy ends here, at the next cooperation point.
+  end_tenancy();
+  pending_split_peers_.clear();
+  pending_migrate_peer_ = -1;
+  split_requested_ = false;
+  const std::size_t host = host_index_;
+  campaign_.send(
+      campaign_.host_endpoint(host), campaign_.root_endpoint(),
+      Msg::kCancelled, kControlMessageBytes,
+      [&c = campaign_, host] { c.on_race_cancelled(host); }, flow_);
+}
+
+void Client::end_tenancy() {
   work_accumulated_ += solver_->stats().work;
   imported_accumulated_ += solver_->stats().imported_clauses;
   imported_used_accumulated_ += solver_->stats().imported_used;
   solver_.reset();
   export_buffer_.clear();
   export_lbds_.clear();
-  pending_split_peers_.clear();
-  pending_migrate_peer_ = -1;
-  split_requested_ = false;
-  const std::size_t host = host_index_;
-  campaign_.send_to_master(
-      host_index_, Msg::kCancelled, kControlMessageBytes,
-      [&c = campaign_, host] { c.on_race_cancelled(host); }, flow_);
 }
 
 void Client::kill() {
@@ -344,10 +338,10 @@ void Client::flush_exports() {
     export_buffer_.clear();
     export_lbds_.clear();
     const std::size_t bytes = Campaign::clause_batch_bytes(*batch);
-    campaign_.send_to_master(host_index_, Msg::kClauses, bytes,
-                             [&c = campaign_, host, batch] {
-                               c.on_client_clauses(host, batch);
-                             });
+    campaign_.send(campaign_.host_endpoint(host), campaign_.root_endpoint(),
+                   Msg::kClauses, bytes, [&c = campaign_, host, batch] {
+                     c.on_client_clauses(host, batch);
+                   });
     return;
   }
   // Hierarchical topology: the batch travels one intra-site hop to the
@@ -431,8 +425,9 @@ void Client::maybe_checkpoint() {
   last_checkpoint_ = now;
   const std::size_t bytes = cp.wire_size();
   const std::size_t host = host_index_;
-  campaign_.send_to_master(
-      host_index_, Msg::kCheckpoint, bytes,
+  campaign_.send(
+      campaign_.host_endpoint(host), campaign_.root_endpoint(),
+      Msg::kCheckpoint, bytes,
       [&c = campaign_, host, cp = std::move(cp)]() mutable {
         c.on_checkpoint(host, std::move(cp));
       },
@@ -500,24 +495,12 @@ void Client::perform_split() {
     obs::trace_event(campaign_.tracer_, trace_worker_,
                      obs::EventKind::kLineageShip, sp->lineage_id,
                      campaign_.client_lane(peer));
-    const Campaign::ShipPlan plan = campaign_.plan_subproblem_ship(peer, *sp);
     // Message 3 of Figure 3: peer-to-peer subproblem transfer. The
     // transfer time also parameterizes both sides' split timeouts (§3.3).
-    const double transfer = campaign_.network().transfer_time(
-        plan.bytes, campaign_.site_id(host_index_), campaign_.site_id(peer));
-    campaign_.note_subproblem_in_flight();
-    campaign_.send_peer(
-        host_index_, peer, Msg::kSubproblem, plan.bytes,
-        [&c = campaign_, peer, sp, transfer, mode = plan.mode] {
-          Client* target = c.client(peer);
-          if (target != nullptr && target->alive()) {
-            target->start_subproblem(sp, transfer, mode);
-          } else {
-            c.on_lost_subproblem(sp, peer);
-          }
-        },
-        sp->flow_id);
-    slowest_transfer = std::max(slowest_transfer, transfer);
+    slowest_transfer = std::max(
+        slowest_transfer,
+        campaign_.ship_subproblem(campaign_.host_endpoint(host_index_), peer,
+                                  std::move(sp)));
   }
   last_transfer_s_ = slowest_transfer;
   // Message 5: tell the master the split succeeded (and, for a hybrid
@@ -544,32 +527,13 @@ void Client::perform_migration() {
   obs::trace_event(campaign_.tracer_, trace_worker_,
                    obs::EventKind::kLineageShip, sp->lineage_id,
                    campaign_.client_lane(peer));
-  work_accumulated_ += solver_->stats().work;
-  imported_accumulated_ += solver_->stats().imported_clauses;
-  imported_used_accumulated_ += solver_->stats().imported_used;
-  solver_.reset();
-  export_buffer_.clear();
-  export_lbds_.clear();
-  const Campaign::ShipPlan plan = campaign_.plan_subproblem_ship(peer, *sp);
-  const double transfer = campaign_.network().transfer_time(
-      plan.bytes, campaign_.site_id(host_index_), campaign_.site_id(peer));
-  campaign_.note_subproblem_in_flight();
-  campaign_.send_peer(
-      host_index_, peer, Msg::kSubproblem, plan.bytes,
-      [&c = campaign_, peer, sp, transfer, mode = plan.mode] {
-        Client* target = c.client(peer);
-        if (target != nullptr && target->alive()) {
-          target->start_subproblem(sp, transfer, mode);
-        } else {
-          c.on_lost_subproblem(sp, peer);
-        }
-      },
-      sp->flow_id);
+  end_tenancy();
+  campaign_.ship_subproblem(campaign_.host_endpoint(host_index_), peer,
+                            std::move(sp));
   const std::size_t from = host_index_;
   campaign_.send_up(
       host_index_, Msg::kMigrated, kControlMessageBytes,
-      [&c = campaign_, from, peer] { c.on_migrated(from, peer); },
-      flow_);
+      [&c = campaign_, from] { c.on_migrated(from); }, flow_);
 }
 
 void Client::finish_subproblem(SolveStatus status) {
@@ -579,10 +543,7 @@ void Client::finish_subproblem(SolveStatus status) {
     case SolveStatus::kSat: {
       trace_phase("sat-found");
       cnf::Assignment model = solver_->model();
-      work_accumulated_ += solver_->stats().work;
-      imported_accumulated_ += solver_->stats().imported_clauses;
-      imported_used_accumulated_ += solver_->stats().imported_used;
-      solver_.reset();
+      end_tenancy();
       const std::size_t bytes =
           model.size();  // one byte per variable: the assignment stack
       const std::size_t host = host_index_;
@@ -606,16 +567,11 @@ void Client::finish_subproblem(SolveStatus status) {
       }
       obs::trace_event(campaign_.tracer_, trace_worker_,
                        obs::EventKind::kLineageRefute, lineage_);
-      work_accumulated_ += solver_->stats().work;
-      imported_accumulated_ += solver_->stats().imported_clauses;
-      imported_used_accumulated_ += solver_->stats().imported_used;
       // An empty guiding path refutes the whole formula — in portfolio
       // (and a hybrid racer holding the root) that alone decides the
       // campaign, with no split tree left to drain.
       const bool root_refuted = solver_->assumptions().empty();
-      solver_.reset();
-      export_buffer_.clear();
-      export_lbds_.clear();
+      end_tenancy();
       const std::size_t host = host_index_;
       campaign_.send_up(
           host_index_, Msg::kSubproblemUnsat, kControlMessageBytes,
@@ -628,9 +584,7 @@ void Client::finish_subproblem(SolveStatus status) {
     case SolveStatus::kMemOut: {
       // The OS out-of-memory killer takes the client (§3.3 footnote).
       trace_phase("mem-out");
-      work_accumulated_ += solver_->stats().work;
-      imported_accumulated_ += solver_->stats().imported_clauses;
-      imported_used_accumulated_ += solver_->stats().imported_used;
+      end_tenancy();
       kill();
       const std::size_t host = host_index_;
       campaign_.engine().schedule_in(kMasterMonitorDelay,
@@ -709,15 +663,29 @@ void Campaign::schedule_client_failure(std::size_t host_index, double at) {
   engine_.schedule_at(at, [this, host_index] {
     Client* victim = client(host_index);
     if (victim == nullptr || !victim->alive()) return;
-    const bool was_busy = victim->busy();
+    kill_client(host_index, /*retire=*/false);
+  });
+}
+
+void Campaign::kill_client(std::size_t host_index, bool retire) {
+  Client* victim = client(host_index);
+  const bool was_busy =
+      victim != nullptr && victim->alive() && victim->busy();
+  if (victim != nullptr && victim->alive()) {
     victim->kill();
     ++result_.client_deaths;
-    // The master's monitoring notices shortly afterwards (§3.3: "the
-    // master becomes aware of it").
-    engine_.schedule_in(kMasterMonitorDelay, [this, host_index, was_busy] {
-      on_client_died(host_index, was_busy);
-    });
-  });
+  }
+  // The master's monitoring notices shortly afterwards (§3.3: "the
+  // master becomes aware of it"), one report per machine.
+  engine_.schedule_in(
+      kMasterMonitorDelay, [this, host_index, was_busy, retire] {
+        on_client_died(host_index, was_busy);
+        // on_client_died frees the resource for relaunch; a retired host
+        // is gone for good.
+        if (retire && !done_) {
+          directory_.at(host_index).state = HostState::kDead;
+        }
+      });
 }
 
 void Campaign::schedule_host_join(sim::HostSpec spec, double at) {
@@ -740,20 +708,8 @@ void Campaign::release_host(std::size_t host_index) {
   if (done_) return;
   grid::ResourceEntry& entry = directory_.at(host_index);
   if (entry.state == HostState::kDead) return;
-  Client* victim = client(host_index);
-  const bool was_busy =
-      victim != nullptr && victim->alive() && victim->busy();
-  if (victim != nullptr && victim->alive()) {
-    victim->kill();
-    ++result_.client_deaths;
-  }
   ++result_.hosts_released;
-  engine_.schedule_in(kMasterMonitorDelay, [this, host_index, was_busy] {
-    on_client_died(host_index, was_busy);
-    // on_client_died frees the resource for relaunch; a released host is
-    // gone for good.
-    if (!done_) directory_.at(host_index).state = HostState::kDead;
-  });
+  kill_client(host_index, /*retire=*/true);
 }
 
 void Campaign::schedule_site_outage(const std::string& site, double at,
@@ -772,21 +728,7 @@ void Campaign::begin_site_outage(const std::string& site, double down_for) {
     if (directory_.at(i).state == HostState::kDead) continue;
     victims.push_back(i);
   }
-  for (const std::size_t i : victims) {
-    Client* victim = client(i);
-    const bool was_busy =
-        victim != nullptr && victim->alive() && victim->busy();
-    if (victim != nullptr && victim->alive()) {
-      victim->kill();
-      ++result_.client_deaths;
-    }
-    // One monitoring report per machine, as with any other death.
-    engine_.schedule_in(kMasterMonitorDelay, [this, i, was_busy] {
-      if (done_) return;
-      on_client_died(i, was_busy);
-      if (!done_) directory_.at(i).state = HostState::kDead;
-    });
-  }
+  for (const std::size_t i : victims) kill_client(i, /*retire=*/true);
   engine_.schedule_in(down_for, [this, victims = std::move(victims)] {
     if (done_) return;
     for (const std::size_t i : victims) {
@@ -824,8 +766,12 @@ void Campaign::set_metrics(obs::MetricRegistry* metrics) {
   metrics_->gauge_fn("campaign.active_clients", [this] {
     return static_cast<double>(directory_.count_in_state(HostState::kBusy));
   });
+  // Pending split requests wherever they wait: the root's backlog and,
+  // under hierarchical masters, every site's.
   metrics_->gauge_fn("campaign.split_backlog", [this] {
-    return static_cast<double>(backlog_.size());
+    std::size_t pending = backlog_.size();
+    for (const SubMaster& sm : sub_masters_) pending += sm.backlog.size();
+    return static_cast<double>(pending);
   });
   metrics_->gauge_fn("campaign.subproblems_in_flight", [this] {
     return static_cast<double>(subproblems_in_flight_);
@@ -973,44 +919,33 @@ void Campaign::stamp_and_trace_ship(std::size_t host_index,
                        client_lane(host_index));
 }
 
-double Campaign::send(std::uint32_t from, std::uint32_t from_site,
-                      std::uint32_t to, std::uint32_t to_site, Msg kind,
-                      std::size_t bytes, sim::Callback handler,
-                      std::uint64_t flow) {
+void Campaign::send(Endpoint from, Endpoint to, Msg kind, std::size_t bytes,
+                    sim::Callback handler, std::uint64_t flow) {
+  // Everything addressed to the root counts against it — the flat/hier
+  // comparison metric (result.root_messages_handled).
+  if (to.id == master_id_) ++result_.root_messages_handled;
+  if (to.sub >= 0) {
+    // A sub-master's load counts on arrival: handled while it is alive,
+    // a bounce once it is dead (the handler itself is alive-aware).
+    handler = [this, sub = static_cast<std::size_t>(to.sub),
+               handler = std::move(handler)]() mutable {
+      if (sub_masters_[sub].alive) {
+        ++result_.sub_messages_handled;
+      } else {
+        ++result_.sub_master_bounces;
+      }
+      handler();
+    };
+  }
   sim::MessageHeader header;
-  header.from = from;
-  header.from_site = from_site;
-  header.to = to;
-  header.to_site = to_site;
+  header.from = from.id;
+  header.from_site = from.site;
+  header.to = to.id;
+  header.to_site = to.site;
   header.kind = kind_id(kind);
   header.bytes = bytes;
   header.flow_id = flow;
-  return bus_.send(header, std::move(handler));
-}
-
-void Campaign::send_to_master(std::size_t from_host, Msg kind,
-                              std::size_t bytes, sim::Callback handler,
-                              std::uint64_t flow) {
-  // Everything addressed to the root counts against it — the flat/hier
-  // comparison metric (result.root_messages_handled).
-  ++result_.root_messages_handled;
-  send(endpoint_ids_[from_host], site_ids_[from_host], master_id_,
-       master_site_id_, kind, bytes, std::move(handler), flow);
-}
-
-void Campaign::send_to_client(std::size_t to_host, Msg kind,
-                              std::size_t bytes, sim::Callback handler,
-                              std::uint64_t flow) {
-  send(master_id_, master_site_id_, endpoint_ids_[to_host],
-       site_ids_[to_host], kind, bytes, std::move(handler), flow);
-}
-
-double Campaign::send_peer(std::size_t from_host, std::size_t to_host,
-                           Msg kind, std::size_t bytes, sim::Callback handler,
-                           std::uint64_t flow) {
-  return send(endpoint_ids_[from_host], site_ids_[from_host],
-              endpoint_ids_[to_host], site_ids_[to_host], kind, bytes,
-              std::move(handler), flow);
+  bus_.send(header, std::move(handler));
 }
 
 std::size_t Campaign::clause_batch_bytes(
@@ -1031,30 +966,21 @@ void Campaign::launch_client(std::size_t host_index) {
   }
   entry.state = HostState::kLaunching;
   // Launch command + client start-up, then the client registers.
-  send_to_client(host_index, Msg::kLaunch, kControlMessageBytes,
-                 [this, host_index] {
-                   engine_.schedule_in(config_.client_launch_s,
-                                       [this, host_index] {
-                                         if (done_) return;
-                                         retired_clients_.push_back(
-                                             std::move(clients_[host_index]));
-                                         clients_[host_index] =
-                                             std::make_unique<Client>(
-                                                 *this, host_index,
-                                                 hosts_[host_index]->name());
-                                         // Assignment is the root's call:
-                                         // a covering sub-master forwards
-                                         // the registration as
-                                         // SUB_REGISTER.
-                                         send_up(
-                                             host_index, Msg::kRegister,
-                                             kControlMessageBytes,
-                                             [this, host_index] {
-                                               on_register(host_index);
-                                             },
-                                             0, /*forward_to_root=*/true);
-                                       });
-                 });
+  send(root_endpoint(), host_endpoint(host_index), Msg::kLaunch,
+       kControlMessageBytes, [this, host_index] {
+         engine_.schedule_in(config_.client_launch_s, [this, host_index] {
+           if (done_) return;
+           retired_clients_.push_back(std::move(clients_[host_index]));
+           clients_[host_index] = std::make_unique<Client>(
+               *this, host_index, hosts_[host_index]->name());
+           // Assignment is the root's call: a covering sub-master
+           // forwards the registration as SUB_REGISTER.
+           send_up(
+               host_index, Msg::kRegister, kControlMessageBytes,
+               [this, host_index] { on_register(host_index); }, 0,
+               /*forward_to_root=*/true);
+         });
+       });
 }
 
 void Campaign::on_register(std::size_t host_index) {
@@ -1065,11 +991,7 @@ void Campaign::on_register(std::size_t host_index) {
   if (!problem_assigned_) {
     // First client to register is sent the entire problem (§3.3).
     problem_assigned_ = true;
-    auto sp = std::make_shared<solver::Subproblem>();
-    sp->num_vars = formula_.num_vars();
-    sp->clauses = formula_.clauses();
-    sp->num_problem_clauses = sp->clauses.size();
-    sp->path = "root";
+    auto sp = whole_formula();
     entry.state = HostState::kReserved;
     assign_subproblem(host_index, sp);
     // stamp_and_trace_ship allocated the root's tree node; portfolio
@@ -1081,11 +1003,7 @@ void Campaign::on_register(std::size_t host_index) {
     // Portfolio: every registrant races the whole formula under a
     // diversified configuration (slot k != 0 remaps heuristics; the
     // clause bus still connects everyone, so racers cooperate).
-    auto sp = std::make_shared<solver::Subproblem>();
-    sp->num_vars = formula_.num_vars();
-    sp->clauses = formula_.clauses();
-    sp->num_problem_clauses = sp->clauses.size();
-    sp->path = "root";
+    auto sp = whole_formula();
     sp->lineage_id = root_lineage_;
     sp->race_slot = ++portfolio_next_slot_;
     entry.state = HostState::kReserved;
@@ -1095,24 +1013,47 @@ void Campaign::on_register(std::size_t host_index) {
   try_dispatch();
 }
 
+std::shared_ptr<solver::Subproblem> Campaign::whole_formula() const {
+  auto sp = std::make_shared<solver::Subproblem>();
+  sp->num_vars = formula_.num_vars();
+  sp->clauses = formula_.clauses();
+  sp->num_problem_clauses = sp->clauses.size();
+  sp->path = "root";
+  return sp;
+}
+
 void Campaign::assign_subproblem(std::size_t host_index,
                                  std::shared_ptr<solver::Subproblem> sp) {
-  ++subproblems_in_flight_;
   stamp_and_trace_ship(host_index, *sp);
-  const ShipPlan plan = plan_subproblem_ship(host_index, *sp);
-  const double transfer = network_.transfer_time(plan.bytes, master_site_id_,
-                                                 site_ids_[host_index]);
-  send_to_client(
-      host_index, Msg::kSubproblem, plan.bytes,
-      [this, host_index, sp, transfer, mode = plan.mode] {
-        Client* target = client(host_index);
+  ship_subproblem(root_endpoint(), host_index, std::move(sp));
+}
+
+double Campaign::ship_subproblem(Endpoint from, std::size_t to_host,
+                                 std::shared_ptr<solver::Subproblem> sp) {
+  const ShipPlan plan = plan_subproblem_ship(to_host, *sp);
+  ++subproblems_in_flight_;
+  return send_payload(from, to_host, Msg::kSubproblem, plan.bytes, plan.mode,
+                      std::move(sp));
+}
+
+double Campaign::send_payload(Endpoint from, std::size_t to_host, Msg kind,
+                              std::size_t bytes, solver::WireMode mode,
+                              std::shared_ptr<solver::Subproblem> sp) {
+  const Endpoint to = host_endpoint(to_host);
+  const double transfer = network_.transfer_time(bytes, from.site, to.site);
+  const std::uint64_t flow = sp->flow_id;
+  send(
+      from, to, kind, bytes,
+      [this, to_host, sp = std::move(sp), transfer, mode] {
+        Client* target = client(to_host);
         if (target != nullptr && target->alive()) {
           target->start_subproblem(sp, transfer, mode);
         } else {
-          on_lost_subproblem(sp, host_index);
+          on_lost_subproblem(sp, to_host);
         }
       },
-      sp->flow_id);
+      flow);
+  return transfer;
 }
 
 Campaign::ShipPlan Campaign::plan_subproblem_ship(std::size_t to_host,
@@ -1148,19 +1089,8 @@ void Campaign::on_base_miss(std::size_t host_index,
   // carries its problem clauses; only bytes and time are charged). The
   // subproblem stays in flight throughout, so termination accounting is
   // unchanged.
-  const double transfer = network_.transfer_time(
-      base_block_bytes_, master_site_id_, site_ids_[host_index]);
-  send_to_client(
-      host_index, Msg::kBaseShip, base_block_bytes_,
-      [this, host_index, sp, transfer] {
-        Client* target = client(host_index);
-        if (target != nullptr && target->alive()) {
-          target->start_subproblem(sp, transfer, solver::WireMode::kFull);
-        } else {
-          on_lost_subproblem(sp, host_index);
-        }
-      },
-      sp->flow_id);
+  send_payload(root_endpoint(), host_index, Msg::kBaseShip, base_block_bytes_,
+               solver::WireMode::kFull, std::move(sp));
 }
 
 void Campaign::on_subproblem_rejected(
@@ -1208,14 +1138,7 @@ void Campaign::on_subproblem_ack(std::size_t host_index,
   try_dispatch();
 }
 
-void Campaign::on_split_request(std::size_t host_index) {
-  if (done_) return;
-  backlog_.insert(host_index);
-  try_dispatch();
-}
-
-void Campaign::on_split_failed(std::size_t requester, std::size_t peer) {
-  (void)peer;
+void Campaign::on_split_failed(std::size_t requester) {
   if (done_) return;
   forget_backlog(requester);
   release_grant(requester);
@@ -1277,8 +1200,7 @@ void Campaign::on_lost_subproblem(std::shared_ptr<solver::Subproblem> sp,
   finish(CampaignStatus::kError);
 }
 
-void Campaign::on_migrated(std::size_t from, std::size_t to) {
-  (void)to;
+void Campaign::on_migrated(std::size_t from) {
   if (done_) return;
   ++result_.migrations;
   outstanding_grants_.erase(from);
@@ -1349,9 +1271,8 @@ void Campaign::send_race_cancel(std::size_t peer) {
     return;
   }
   const std::uint64_t incarnation = expected->second;
-  send_to_client(
-      peer, Msg::kCancelSubproblem, kControlMessageBytes,
-      [this, peer, incarnation] {
+  send(root_endpoint(), host_endpoint(peer), Msg::kCancelSubproblem,
+       kControlMessageBytes, [this, peer, incarnation] {
         Client* target = client(peer);
         if (target != nullptr && target->alive()) {
           target->cancel_subproblem(incarnation);
@@ -1426,23 +1347,34 @@ void Campaign::on_client_clauses(
   ++result_.clause_batches_shared;
   result_.clauses_shared += batch->size();
   // Relay to every other live client with work in hand (§3.2: GridSAT
-  // "shares clauses globally as soon as they are generated"). The batch
-  // collector delivers all recipients reached over the same link class
-  // behind one engine event (DESIGN.md §4g), so a broadcast to N busy
-  // clients costs O(sites) queue operations instead of O(N).
-  const std::size_t bytes = clause_batch_bytes(*batch);
-  sim::DeliveryBatch delivery(bus_, master_id_, master_site_id_,
-                              kind_id(Msg::kClauses), bytes);
+  // "shares clauses globally as soon as they are generated").
+  fan_out_clauses(root_endpoint(), std::move(batch),
+                  static_cast<std::ptrdiff_t>(from));
+}
+
+std::size_t Campaign::fan_out_clauses(
+    Endpoint from, std::shared_ptr<std::vector<cnf::Clause>> clauses,
+    std::ptrdiff_t exclude_host) {
+  // The batch collector delivers all recipients reached over the same
+  // link class behind one engine event (DESIGN.md §4g), so a broadcast to
+  // N busy clients costs O(sites) queue operations instead of O(N).
+  sim::DeliveryBatch delivery(bus_, from.id, from.site,
+                              kind_id(Msg::kClauses),
+                              clause_batch_bytes(*clauses));
   for (std::size_t i = 0; i < clients_.size(); ++i) {
-    if (i == from) continue;
+    if (static_cast<std::ptrdiff_t>(i) == exclude_host) continue;
+    // A sub-master relays within its own site; the root to every site.
+    if (from.sub >= 0 && site_ids_[i] != from.site) continue;
     Client* target = clients_[i].get();
     if (target == nullptr || !target->alive() || !target->busy()) continue;
-    delivery.add(endpoint_ids_[i], site_ids_[i], [this, i, batch] {
+    delivery.add(endpoint_ids_[i], site_ids_[i], [this, i, clauses] {
       Client* receiver = client(i);
-      if (receiver != nullptr) receiver->receive_clauses(batch);
+      if (receiver != nullptr) receiver->receive_clauses(clauses);
     });
   }
+  const std::size_t recipients = delivery.size();
   delivery.flush();
+  return recipients;
 }
 
 void Campaign::drop_checkpoints(std::size_t host_index) {
@@ -1453,8 +1385,9 @@ void Campaign::drop_checkpoints(std::size_t host_index) {
 void Campaign::send_checkpoint_nack(std::size_t host_index,
                                     std::uint64_t incarnation,
                                     std::uint64_t flow) {
-  send_to_client(
-      host_index, Msg::kCheckpointNack, kControlMessageBytes,
+  send(
+      root_endpoint(), host_endpoint(host_index), Msg::kCheckpointNack,
+      kControlMessageBytes,
       [this, host_index, incarnation] {
         Client* target = client(host_index);
         if (target != nullptr) {
@@ -1500,8 +1433,9 @@ void Campaign::on_checkpoint(std::size_t host_index, Checkpoint cp) {
   }
   const std::uint64_t incarnation = chain.back().incarnation;
   const std::uint64_t epoch = chain.back().epoch;
-  send_to_client(
-      host_index, Msg::kCheckpointAck, kControlMessageBytes,
+  send(
+      root_endpoint(), host_endpoint(host_index), Msg::kCheckpointAck,
+      kControlMessageBytes,
       [this, host_index, incarnation, epoch] {
         Client* target = client(host_index);
         if (target != nullptr) {
@@ -1620,26 +1554,13 @@ void Campaign::try_dispatch() {
       continue;
     }
 
-    // Pick the backlog client that has been running its subproblem the
-    // longest (§3.4): the stubborn regions get the extra resources.
-    std::ptrdiff_t requester = -1;
-    double oldest = -1.0;
-    for (const std::size_t host : backlog_) {
-      const grid::ResourceEntry& e = directory_.at(host);
-      if (e.state != HostState::kBusy) continue;
-      const double running = engine_.now() - e.busy_since;
-      if (running > oldest) {
-        oldest = running;
-        requester = static_cast<std::ptrdiff_t>(host);
-      }
-    }
+    const std::ptrdiff_t requester = pick_requester(backlog_);
     if (requester < 0) {
-      // Stale backlog entries (hosts no longer busy).
+      // Stale backlog entries (hosts no longer busy, or already granted).
       backlog_.clear();
       return;
     }
     const auto requester_index = static_cast<std::size_t>(requester);
-    forget_backlog(requester_index);
     directory_.at(target_index).state = HostState::kReserved;
     std::vector<std::size_t> targets{target_index};
     if (config_.parallel_mode == solver::ParallelMode::kHybrid) {
@@ -1655,7 +1576,6 @@ void Campaign::try_dispatch() {
         targets.push_back(static_cast<std::size_t>(extra));
       }
     }
-    outstanding_grants_[requester_index] = targets;
 
     // Migration opportunity (§3.4): a markedly better host with idle
     // same-site company takes the whole problem instead of half. Racing
@@ -1667,22 +1587,47 @@ void Campaign::try_dispatch() {
             config_.migration_rank_factor * directory_.rank(requester_index) &&
         idle_at_site(directory_.at(target_index).spec.site) + 1 >=
             config_.migration_min_idle_at_site;
-    const Msg kind = migrate ? Msg::kMigrateOrder : Msg::kSplitGrant;
-    send_to_client(requester_index, kind, kControlMessageBytes,
-                   [this, requester_index, target_index, migrate,
-                    targets = std::move(targets)] {
-                     Client* c = client(requester_index);
-                     if (c == nullptr || !c->alive()) {
-                       on_split_failed(requester_index, target_index);
-                       return;
-                     }
-                     if (migrate) {
-                       c->order_migration(target_index);
-                     } else {
-                       c->grant_split(targets);
-                     }
-                   });
+    send_grant(root_endpoint(), requester_index, std::move(targets), migrate);
   }
+}
+
+bool Campaign::grantable(std::size_t host_index) const {
+  return directory_.at(host_index).state == HostState::kBusy &&
+         outstanding_grants_.count(host_index) == 0;
+}
+
+std::ptrdiff_t Campaign::pick_requester(
+    const std::set<std::size_t>& backlog) const {
+  // The stubborn regions get the extra resources (§3.4). A host with an
+  // outstanding grant is mid-negotiation (e.g. a SUB_HELLO re-send raced
+  // the original's bounce): it is skipped.
+  std::ptrdiff_t requester = -1;
+  double oldest = -1.0;
+  for (const std::size_t host : backlog) {
+    if (!grantable(host)) continue;
+    const double running = engine_.now() - directory_.at(host).busy_since;
+    if (running > oldest) {
+      oldest = running;
+      requester = static_cast<std::ptrdiff_t>(host);
+    }
+  }
+  return requester;
+}
+
+void Campaign::send_grant(Endpoint from, std::size_t requester,
+                          std::vector<std::size_t> targets, bool migrate) {
+  forget_backlog(requester);
+  outstanding_grants_[requester] = targets;
+  send(from, host_endpoint(requester),
+       migrate ? Msg::kMigrateOrder : Msg::kSplitGrant, kControlMessageBytes,
+       [this, requester, migrate, targets = std::move(targets)]() mutable {
+         Client* c = client(requester);
+         if (c == nullptr || !c->alive()) {
+           on_split_failed(requester);
+           return;
+         }
+         c->grant_split(std::move(targets), migrate);
+       });
 }
 
 void Campaign::update_peak_active() {
@@ -1783,56 +1728,20 @@ void Campaign::rehome_sub_master(std::size_t sub) {
   try_dispatch();
 }
 
-void Campaign::send_sub_to_root(std::size_t sub, Msg kind, std::size_t bytes,
-                                sim::Callback handler, std::uint64_t flow) {
-  ++result_.root_messages_handled;
-  SubMaster& sm = sub_masters_[sub];
-  send(sm.endpoint, sm.site_id, master_id_, master_site_id_, kind, bytes,
-       std::move(handler), flow);
-}
-
-void Campaign::send_root_to_sub(std::size_t sub, Msg kind, std::size_t bytes,
-                                sim::Callback handler, std::uint64_t flow) {
-  SubMaster& sm = sub_masters_[sub];
-  send(master_id_, master_site_id_, sm.endpoint, sm.site_id, kind, bytes,
-       [this, sub, handler = std::move(handler)]() mutable {
-         if (sub_masters_[sub].alive) {
-           ++result_.sub_messages_handled;
-         } else {
-           ++result_.sub_master_bounces;
-         }
-         // The handler itself is alive-aware (a dead sub-master drops a
-         // digest, fails a broker back to the root).
-         handler();
-       },
-       flow);
-}
-
-void Campaign::send_sub_to_client(std::size_t sub, std::size_t to_host,
-                                  Msg kind, std::size_t bytes,
-                                  sim::Callback handler, std::uint64_t flow) {
-  SubMaster& sm = sub_masters_[sub];
-  send(sm.endpoint, sm.site_id, endpoint_ids_[to_host], site_ids_[to_host],
-       kind, bytes, std::move(handler), flow);
-}
-
 void Campaign::deliver_at_sub(std::size_t sub, std::size_t from_host,
                               Msg kind, std::size_t bytes,
                               std::uint64_t flow, sim::Callback at_sub,
                               sim::Callback at_root) {
-  SubMaster& sm = sub_masters_[sub];
-  send(endpoint_ids_[from_host], site_ids_[from_host], sm.endpoint,
-       sm.site_id, kind, bytes,
+  send(host_endpoint(from_host), sub_endpoint(sub), kind, bytes,
        [this, sub, kind, bytes, flow, at_sub = std::move(at_sub),
         at_root = std::move(at_root)]() mutable {
          if (!sub_masters_[sub].alive) {
            // Dead sub-master: the message bounces to the root, charging
            // the extra hop, and the root-side fallback handles it.
-           ++result_.sub_master_bounces;
-           send_sub_to_root(sub, kind, bytes, std::move(at_root), flow);
+           send(sub_endpoint(sub), root_endpoint(), kind, bytes,
+                std::move(at_root), flow);
            return;
          }
-         ++result_.sub_messages_handled;
          at_sub();
        },
        flow);
@@ -1843,7 +1752,8 @@ void Campaign::send_up(std::size_t from_host, Msg kind, std::size_t bytes,
                        bool forward_to_root) {
   const std::ptrdiff_t sub = route_sub(from_host);
   if (sub < 0) {
-    send_to_master(from_host, kind, bytes, std::move(handler), flow);
+    send(host_endpoint(from_host), root_endpoint(), kind, bytes,
+         std::move(handler), flow);
     return;
   }
   const auto s = static_cast<std::size_t>(sub);
@@ -1862,8 +1772,8 @@ void Campaign::send_up(std::size_t from_host, Msg kind, std::size_t bytes,
   deliver_at_sub(
       s, from_host, kind, bytes, flow,
       [this, s, forwarded, bytes, flow, shared] {
-        send_sub_to_root(s, forwarded, bytes, [shared] { (*shared)(); },
-                         flow);
+        send(sub_endpoint(s), root_endpoint(), forwarded, bytes,
+             [shared] { (*shared)(); }, flow);
       },
       [shared] { (*shared)(); });
 }
@@ -1932,23 +1842,9 @@ void Campaign::sub_on_clauses(std::size_t sub, std::size_t from,
 void Campaign::sub_relay(std::size_t sub,
                          std::shared_ptr<std::vector<cnf::Clause>> clauses,
                          std::ptrdiff_t exclude_host) {
-  SubMaster& sm = sub_masters_[sub];
-  const std::size_t bytes = clause_batch_bytes(*clauses);
-  sim::DeliveryBatch delivery(bus_, sm.endpoint, sm.site_id,
-                              kind_id(Msg::kClauses), bytes);
-  for (std::size_t i = 0; i < clients_.size(); ++i) {
-    if (static_cast<std::ptrdiff_t>(i) == exclude_host) continue;
-    if (site_ids_[i] != sm.site_id) continue;
-    Client* target = clients_[i].get();
-    if (target == nullptr || !target->alive() || !target->busy()) continue;
-    delivery.add(endpoint_ids_[i], site_ids_[i], [this, i, clauses] {
-      Client* receiver = client(i);
-      if (receiver != nullptr) receiver->receive_clauses(clauses);
-    });
-  }
-  if (delivery.size() == 0) return;
-  ++result_.site_relay_batches;
-  delivery.flush();
+  const std::size_t recipients =
+      fan_out_clauses(sub_endpoint(sub), std::move(clauses), exclude_host);
+  if (recipients > 0) ++result_.site_relay_batches;
 }
 
 void Campaign::flush_digest(std::size_t sub) {
@@ -1966,8 +1862,8 @@ void Campaign::flush_digest(std::size_t sub) {
   result_.digest_clauses_sent += batch->clauses.size();
   const std::size_t bytes =
       clause_batch_bytes(batch->clauses) + batch->clauses.size();
-  send_sub_to_root(sub, Msg::kClauseDigest, bytes,
-                   [this, sub, batch] { root_on_digest(sub, batch); });
+  send(sub_endpoint(sub), root_endpoint(), Msg::kClauseDigest, bytes,
+       [this, sub, batch] { root_on_digest(sub, batch); });
 }
 
 void Campaign::root_on_digest(std::size_t sub,
@@ -1977,8 +1873,8 @@ void Campaign::root_on_digest(std::size_t sub,
       clause_batch_bytes(batch->clauses) + batch->clauses.size();
   for (std::size_t s = 0; s < sub_masters_.size(); ++s) {
     if (s == sub || !sub_masters_[s].alive) continue;
-    send_root_to_sub(s, Msg::kClauseDigest, bytes,
-                     [this, s, batch] { sub_on_remote_digest(s, batch); });
+    send(root_endpoint(), sub_endpoint(s), Msg::kClauseDigest, bytes,
+         [this, s, batch] { sub_on_remote_digest(s, batch); });
   }
 }
 
@@ -2028,8 +1924,8 @@ void Campaign::sub_master_tick(std::size_t sub) {
         sm.last_idle = idle;
         sm.last_busy = busy;
         sm.last_backlog = sm.backlog.size();
-        send_sub_to_root(sub, Msg::kSiteSummary, kControlMessageBytes,
-                         [this, sub] { root_on_site_summary(sub); });
+        send(sub_endpoint(sub), root_endpoint(), Msg::kSiteSummary,
+             kControlMessageBytes, [this] { root_on_site_summary(); });
       }
     }
   }
@@ -2037,8 +1933,7 @@ void Campaign::sub_master_tick(std::size_t sub) {
                       [this, sub] { sub_master_tick(sub); });
 }
 
-void Campaign::root_on_site_summary(std::size_t sub) {
-  (void)sub;
+void Campaign::root_on_site_summary() {
   if (done_) return;
   // The summary keeps the root's view of site load current; react by
   // re-checking whether a starving site can now be matched to a donor.
@@ -2063,50 +1958,24 @@ void Campaign::sub_try_dispatch(std::size_t sub) {
   for (;;) {
     const std::ptrdiff_t target = best_idle_at_site(sub);
     if (target < 0) break;
-    std::ptrdiff_t requester = -1;
-    double oldest = -1.0;
-    for (const std::size_t host : sm.backlog) {
-      // A host with an outstanding grant is mid-negotiation (e.g. a
-      // SUB_HELLO re-send raced the original's bounce): skip it.
-      if (outstanding_grants_.count(host) != 0) continue;
-      const double running = engine_.now() - directory_.at(host).busy_since;
-      if (running > oldest) {
-        oldest = running;
-        requester = static_cast<std::ptrdiff_t>(host);
-      }
-    }
+    const std::ptrdiff_t requester = pick_requester(sm.backlog);
     if (requester < 0) break;
-    const auto requester_index = static_cast<std::size_t>(requester);
     const auto target_index = static_cast<std::size_t>(target);
-    forget_backlog(requester_index);
     directory_.at(target_index).state = HostState::kReserved;
-    outstanding_grants_[requester_index] = {target_index};
-    send_sub_to_client(
-        sub, requester_index, Msg::kSplitGrant, kControlMessageBytes,
-        [this, requester_index, target_index] {
-          Client* c = client(requester_index);
-          if (c == nullptr || !c->alive()) {
-            on_split_failed(requester_index, target_index);
-            return;
-          }
-          c->grant_split({target_index});
-        });
+    send_grant(sub_endpoint(sub), static_cast<std::size_t>(requester),
+               {target_index}, /*migrate=*/false);
   }
   // Starving: idle capacity with nothing local to split. One outstanding
   // WORK_REQUEST at a time; the root brokers a split from the most
   // loaded site.
-  bool local_work = false;
-  for (const std::size_t host : sm.backlog) {
-    if (outstanding_grants_.count(host) == 0) {
-      local_work = true;
-      break;
-    }
-  }
+  const bool local_work =
+      std::any_of(sm.backlog.begin(), sm.backlog.end(),
+                  [this](std::size_t host) { return grantable(host); });
   if (problem_assigned_ && !sm.work_requested && !local_work &&
       best_idle_at_site(sub) >= 0) {
     sm.work_requested = true;
-    send_sub_to_root(sub, Msg::kWorkRequest, kControlMessageBytes,
-                     [this, sub] { root_on_work_request(sub); });
+    send(sub_endpoint(sub), root_endpoint(), Msg::kWorkRequest,
+         kControlMessageBytes, [this, sub] { root_on_work_request(sub); });
   }
 }
 
@@ -2139,13 +2008,10 @@ void Campaign::root_broker() {
     std::size_t best_load = 0;
     for (std::size_t d = 0; d < sub_masters_.size(); ++d) {
       if (d == s || !sub_masters_[d].alive) continue;
-      std::size_t load = 0;
-      for (const std::size_t host : sub_masters_[d].backlog) {
-        if (directory_.at(host).state == HostState::kBusy &&
-            outstanding_grants_.count(host) == 0) {
-          ++load;
-        }
-      }
+      const std::set<std::size_t>& backlog = sub_masters_[d].backlog;
+      const auto load = static_cast<std::size_t>(
+          std::count_if(backlog.begin(), backlog.end(),
+                        [this](std::size_t host) { return grantable(host); }));
       if (load > best_load) {
         best_load = load;
         donor = static_cast<std::ptrdiff_t>(d);
@@ -2162,10 +2028,10 @@ void Campaign::root_broker() {
     starving.work_requested = false;
     it = starving_sites_.erase(it);
     const auto donor_index = static_cast<std::size_t>(donor);
-    send_root_to_sub(donor_index, Msg::kSplitBroker, kControlMessageBytes,
-                     [this, donor_index, peer_index] {
-                       sub_on_broker(donor_index, peer_index);
-                     });
+    send(root_endpoint(), sub_endpoint(donor_index), Msg::kSplitBroker,
+         kControlMessageBytes, [this, donor_index, peer_index] {
+           sub_on_broker(donor_index, peer_index);
+         });
   }
 }
 
@@ -2174,46 +2040,21 @@ void Campaign::sub_on_broker(std::size_t sub, std::size_t peer_host) {
   SubMaster& sm = sub_masters_[sub];
   // The sub-master picks the donor client itself, from its own (current)
   // backlog — the root only chose the site.
-  std::ptrdiff_t requester = -1;
-  double oldest = -1.0;
-  if (sm.alive) {
-    for (const std::size_t host : sm.backlog) {
-      if (directory_.at(host).state != HostState::kBusy) continue;
-      if (outstanding_grants_.count(host) != 0) continue;
-      const double running = engine_.now() - directory_.at(host).busy_since;
-      if (running > oldest) {
-        oldest = running;
-        requester = static_cast<std::ptrdiff_t>(host);
-      }
-    }
-  }
+  const std::ptrdiff_t requester = sm.alive ? pick_requester(sm.backlog) : -1;
   if (requester < 0) {
     // Dead, or the backlog drained since the root looked: give the
     // reserved peer back.
-    send_sub_to_root(sub, Msg::kBrokerFailed, kControlMessageBytes,
-                     [this, sub, peer_host] {
-                       root_on_broker_failed(sub, peer_host);
-                     });
+    send(sub_endpoint(sub), root_endpoint(), Msg::kBrokerFailed,
+         kControlMessageBytes,
+         [this, peer_host] { root_on_broker_failed(peer_host); });
     return;
   }
-  const auto requester_index = static_cast<std::size_t>(requester);
-  forget_backlog(requester_index);
-  outstanding_grants_[requester_index] = {peer_host};
   ++result_.brokered_splits;
-  send_sub_to_client(
-      sub, requester_index, Msg::kSplitGrant, kControlMessageBytes,
-      [this, requester_index, peer_host] {
-        Client* c = client(requester_index);
-        if (c == nullptr || !c->alive()) {
-          on_split_failed(requester_index, peer_host);
-          return;
-        }
-        c->grant_split({peer_host});
-      });
+  send_grant(sub_endpoint(sub), static_cast<std::size_t>(requester),
+             {peer_host}, /*migrate=*/false);
 }
 
-void Campaign::root_on_broker_failed(std::size_t sub, std::size_t peer_host) {
-  (void)sub;
+void Campaign::root_on_broker_failed(std::size_t peer_host) {
   if (done_) return;
   grid::ResourceEntry& entry = directory_.at(peer_host);
   if (entry.state == HostState::kReserved) entry.state = HostState::kIdle;
@@ -2248,43 +2089,21 @@ void Campaign::hier_dispatch() {
   }
   // Root-homed backlog (uncovered sites, dead-sub stragglers): flat-style
   // grants against the global idle pool.
-  for (;;) {
-    if (backlog_.empty()) break;
+  while (!backlog_.empty()) {
     const std::ptrdiff_t target =
         directory_.best_in_state(HostState::kIdle, config_.min_client_memory);
     if (target < 0) break;
-    std::ptrdiff_t requester = -1;
-    double oldest = -1.0;
-    for (const std::size_t host : backlog_) {
-      const grid::ResourceEntry& e = directory_.at(host);
-      if (e.state != HostState::kBusy) continue;
-      if (outstanding_grants_.count(host) != 0) continue;
-      const double running = engine_.now() - e.busy_since;
-      if (running > oldest) {
-        oldest = running;
-        requester = static_cast<std::ptrdiff_t>(host);
-      }
-    }
+    const std::ptrdiff_t requester = pick_requester(backlog_);
     if (requester < 0) {
       std::erase_if(backlog_, [this](std::size_t host) {
         return directory_.at(host).state != HostState::kBusy;
       });
       break;
     }
-    const auto requester_index = static_cast<std::size_t>(requester);
     const auto target_index = static_cast<std::size_t>(target);
-    forget_backlog(requester_index);
     directory_.at(target_index).state = HostState::kReserved;
-    outstanding_grants_[requester_index] = {target_index};
-    send_to_client(requester_index, Msg::kSplitGrant, kControlMessageBytes,
-                   [this, requester_index, target_index] {
-                     Client* c = client(requester_index);
-                     if (c == nullptr || !c->alive()) {
-                       on_split_failed(requester_index, target_index);
-                       return;
-                     }
-                     c->grant_split({target_index});
-                   });
+    send_grant(root_endpoint(), static_cast<std::size_t>(requester),
+               {target_index}, /*migrate=*/false);
   }
   // Site-local dispatch everywhere, then cross-site brokering.
   for (std::size_t s = 0; s < sub_masters_.size(); ++s) sub_try_dispatch(s);

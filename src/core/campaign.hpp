@@ -108,9 +108,9 @@ class Client {
                         solver::WireMode mode = solver::WireMode::kFull);
   void receive_clauses(std::shared_ptr<std::vector<cnf::Clause>> batch);
   /// kSplit grants one peer; kHybrid grants up to race_width peers that
-  /// will all race the same split child.
-  void grant_split(std::vector<std::size_t> peer_hosts);
-  void order_migration(std::size_t peer_host);
+  /// will all race the same split child. With `migrate`, the whole
+  /// problem moves to the one peer instead (MIGRATE_ORDER).
+  void grant_split(std::vector<std::size_t> peer_hosts, bool migrate);
   /// A co-racer reached the verdict first: abandon the current tenancy
   /// (guarded by the incarnation nonce, so a reordered stale cancel can
   /// never kill a later assignment) and report idle.
@@ -141,6 +141,9 @@ class Client {
   void finish_subproblem(solver::SolveStatus status);
   void perform_split();
   void perform_migration();
+  /// Fold the solver's work and import counts into the accumulators,
+  /// then drop the solver and the unsent exports: the tenancy is over.
+  void end_tenancy();
   void flush_exports();
   void maybe_checkpoint();
   void check_split_triggers();
@@ -313,21 +316,29 @@ class Campaign {
  private:
   friend class Client;
 
+  /// One addressable party of the protocol: the root master, a client
+  /// host, or a sub-master. Interned ids, so a send never touches names.
+  struct Endpoint {
+    std::uint32_t id = 0;
+    std::uint32_t site = 0;
+    std::ptrdiff_t sub = -1;  ///< sub-master index; -1 for root and hosts
+  };
+
   // --- master logic ----------------------------------------------------
   void launch_client(std::size_t host_index);
   void on_register(std::size_t host_index);
-  void on_split_request(std::size_t host_index);
-  void on_split_failed(std::size_t requester, std::size_t peer);
+  /// The whole formula as one subproblem (the root of the split tree).
+  [[nodiscard]] std::shared_ptr<solver::Subproblem> whole_formula() const;
+  void on_split_failed(std::size_t requester);
   /// Msg 5. kHybrid ships one split child to several peers at once;
   /// `peers` with more than one entry registers a racing cohort.
   void on_subproblem_sent(std::size_t from, std::uint64_t lineage,
                           std::vector<std::size_t> peers);
-  void on_migrated(std::size_t from, std::size_t to);
+  void on_migrated(std::size_t from);
   /// A subproblem transfer whose receiver died mid-flight: requeue it
   /// (checkpoint-recovery mode) or abort the run.
   void on_lost_subproblem(std::shared_ptr<solver::Subproblem> sp,
                           std::size_t host_index);
-  void note_subproblem_in_flight() { ++subproblems_in_flight_; }
   void on_subproblem_ack(std::size_t host_index,
                          std::uint64_t incarnation);           ///< msg 4
   /// Receiver was already busy: requeue the payload for another client.
@@ -356,6 +367,12 @@ class Campaign {
   void on_sat_found(std::size_t host_index, cnf::Assignment model);
   void on_client_clauses(std::size_t from,
                          std::shared_ptr<std::vector<cnf::Clause>> batch);
+  /// Clause fan-out from `from` over one DeliveryBatch to every live busy
+  /// client except `exclude_host` (-1: nobody) — in-site only when `from`
+  /// is a sub-master. Returns the number of recipients.
+  std::size_t fan_out_clauses(
+      Endpoint from, std::shared_ptr<std::vector<cnf::Clause>> clauses,
+      std::ptrdiff_t exclude_host);
   void on_checkpoint(std::size_t host_index, Checkpoint cp);
   void send_checkpoint_nack(std::size_t host_index, std::uint64_t incarnation,
                             std::uint64_t flow);
@@ -370,6 +387,19 @@ class Campaign {
   void on_client_died(std::size_t host_index, bool was_busy);
   void on_mem_out(std::size_t host_index);
   void try_dispatch();
+  /// A backlog host that can take a grant now: busy, and not already
+  /// mid-negotiation under an outstanding grant.
+  [[nodiscard]] bool grantable(std::size_t host_index) const;
+  /// The grantable host in `backlog` that has been running its
+  /// subproblem the longest (§3.4); -1 if none.
+  [[nodiscard]] std::ptrdiff_t pick_requester(
+      const std::set<std::size_t>& backlog) const;
+  /// Grant `requester` a split toward `targets` (already reserved), or
+  /// with `migrate` order its whole problem to targets.front(). Forgets
+  /// the backlog entry and records the outstanding grant; a requester
+  /// gone by delivery fails the grant.
+  void send_grant(Endpoint from, std::size_t requester,
+                  std::vector<std::size_t> targets, bool migrate);
   /// Release the reservation held for `requester`'s outstanding grant (if
   /// any): the requester finished, died, or declined before splitting.
   void release_grant(std::size_t requester);
@@ -378,6 +408,16 @@ class Campaign {
   /// Ship a subproblem from the master to `host_index`.
   void assign_subproblem(std::size_t host_index,
                          std::shared_ptr<solver::Subproblem> sp);
+  /// Plan `sp`'s ship to `to_host`, count it in flight, and send it as
+  /// SUBPROBLEM from `from`; returns the transfer time charged.
+  double ship_subproblem(Endpoint from, std::size_t to_host,
+                         std::shared_ptr<solver::Subproblem> sp);
+  /// Send a payload carrying `sp`: on delivery a live client at `to_host`
+  /// starts it (in `mode`, charged the transfer time), otherwise it is
+  /// reported lost. Returns the transfer time.
+  double send_payload(Endpoint from, std::size_t to_host, Msg kind,
+                      std::size_t bytes, solver::WireMode mode,
+                      std::shared_ptr<solver::Subproblem> sp);
   /// Decide how a subproblem ships to `to_host` and charge the wire
   /// accounting: a host whose resident base matches the campaign
   /// fingerprint receives a base reference (no problem-clause bytes).
@@ -412,6 +452,10 @@ class Campaign {
 
   void release_host(std::size_t host_index);
   void begin_site_outage(const std::string& site, double down_for);
+  /// Kill the host's client (if alive) and deliver the master's death
+  /// notice after its monitoring delay; `retire` then keeps the host dead
+  /// instead of free for relaunch.
+  void kill_client(std::size_t host_index, bool retire);
 
   // --- hierarchical masters (DESIGN.md §4j) ----------------------------
   /// Per-site coordinator: a logical endpoint ("submaster:<site>") that
@@ -454,8 +498,8 @@ class Campaign {
   void sub_on_remote_digest(std::size_t sub,
                             std::shared_ptr<ClauseBatch> batch);
   void sub_on_broker(std::size_t sub, std::size_t peer_host);
-  /// In-site clause fan-out over one DeliveryBatch (exclude_host = the
-  /// originating client, or -1 to include everyone).
+  /// In-site clause fan-out (exclude_host = the originating client, or
+  /// -1 to include everyone); counts a relay batch when anyone received.
   void sub_relay(std::size_t sub,
                  std::shared_ptr<std::vector<cnf::Clause>> clauses,
                  std::ptrdiff_t exclude_host);
@@ -468,8 +512,8 @@ class Campaign {
   void root_broker();
   // Root-side handlers for sub-master traffic.
   void root_on_work_request(std::size_t sub);
-  void root_on_broker_failed(std::size_t sub, std::size_t peer_host);
-  void root_on_site_summary(std::size_t sub);
+  void root_on_broker_failed(std::size_t peer_host);
+  void root_on_site_summary();
   void root_on_digest(std::size_t sub, std::shared_ptr<ClauseBatch> batch);
   void rehome_sub_master(std::size_t sub);
   /// Park a split request where this topology keeps it: the site
@@ -497,13 +541,6 @@ class Campaign {
   void deliver_at_sub(std::size_t sub, std::size_t from_host, Msg kind,
                       std::size_t bytes, std::uint64_t flow,
                       sim::Callback at_sub, sim::Callback at_root);
-  void send_sub_to_root(std::size_t sub, Msg kind, std::size_t bytes,
-                        sim::Callback handler, std::uint64_t flow = 0);
-  void send_root_to_sub(std::size_t sub, Msg kind, std::size_t bytes,
-                        sim::Callback handler, std::uint64_t flow = 0);
-  void send_sub_to_client(std::size_t sub, std::size_t to_host, Msg kind,
-                          std::size_t bytes, sim::Callback handler,
-                          std::uint64_t flow = 0);
 
   // --- plumbing ----------------------------------------------------------
   /// Intern a new host's endpoint/site names (must be called once, in
@@ -512,26 +549,24 @@ class Campaign {
   [[nodiscard]] std::uint32_t kind_id(Msg kind) const noexcept {
     return msg_ids_[static_cast<std::size_t>(kind)];
   }
-  [[nodiscard]] std::uint32_t endpoint_id(std::size_t host) const noexcept {
-    return endpoint_ids_[host];
+  [[nodiscard]] Endpoint root_endpoint() const noexcept {
+    return {master_id_, master_site_id_};
   }
-  [[nodiscard]] std::uint32_t site_id(std::size_t host) const noexcept {
-    return site_ids_[host];
+  [[nodiscard]] Endpoint host_endpoint(std::size_t host) const noexcept {
+    return {endpoint_ids_[host], site_ids_[host]};
   }
+  [[nodiscard]] Endpoint sub_endpoint(std::size_t sub) const noexcept {
+    return {sub_masters_[sub].endpoint, sub_masters_[sub].site_id,
+            static_cast<std::ptrdiff_t>(sub)};
+  }
+  /// The one protocol send. A message addressed to the root counts in
+  /// root_messages_handled when sent; one delivered at a sub-master
+  /// counts in sub_messages_handled, or in sub_master_bounces when the
+  /// sub-master is dead (`handler` runs either way and is alive-aware).
   /// `flow` stitches the message into an existing trace flow; 0 lets the
   /// bus allocate a fresh single-hop flow (see sim::MessageHeader).
-  double send(std::uint32_t from, std::uint32_t from_site, std::uint32_t to,
-              std::uint32_t to_site, Msg kind, std::size_t bytes,
-              sim::Callback handler, std::uint64_t flow = 0);
-  void send_to_master(std::size_t from_host, Msg kind, std::size_t bytes,
-                      sim::Callback handler, std::uint64_t flow = 0);
-  void send_to_client(std::size_t to_host, Msg kind, std::size_t bytes,
-                      sim::Callback handler, std::uint64_t flow = 0);
-  /// Peer-to-peer client send (Figure 3 message 3); returns the
-  /// transfer time charged.
-  double send_peer(std::size_t from_host, std::size_t to_host, Msg kind,
-                   std::size_t bytes, sim::Callback handler,
-                   std::uint64_t flow = 0);
+  void send(Endpoint from, Endpoint to, Msg kind, std::size_t bytes,
+            sim::Callback handler, std::uint64_t flow = 0);
   [[nodiscard]] static std::size_t clause_batch_bytes(
       const std::vector<cnf::Clause>& batch);
 

@@ -106,8 +106,6 @@ struct GridSatConfig {
   /// Cadence of the information service sampling host availability into
   /// the NWS-analog forecasters.
   double availability_sample_interval_s = 60.0;
-
-  std::uint64_t seed = 1;
 };
 
 }  // namespace gridsat::core

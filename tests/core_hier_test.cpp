@@ -1,10 +1,13 @@
 // Hierarchical masters (DESIGN.md §4j): flat-vs-hier verdict parity and
 // root-message reduction, in-site relay and inter-site digest behaviour,
 // split brokering between starving and loaded sites, sub-master failure
-// (bounce, re-home, certification), the wan_grid per-pair-link testbed,
-// elastic arrival scenarios, and per-topology trace determinism.
+// (bounce, re-home, certification), the live split-backlog gauge, the
+// wan_grid per-pair-link testbed, elastic arrival scenarios, and
+// per-topology trace determinism.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <sstream>
 #include <string>
 
@@ -14,6 +17,7 @@
 #include "gen/pigeonhole.hpp"
 #include "gen/random_ksat.hpp"
 #include "gen/xor_chains.hpp"
+#include "obs/metrics.hpp"
 #include "solver/proof.hpp"
 
 namespace gridsat::core {
@@ -143,6 +147,27 @@ TEST(HierTest, SubMasterDeathBouncesRehomesAndStillCertifies) {
   ASSERT_TRUE(result.proof_stitched) << result.proof_error;
   const solver::ProofCheckResult check = campaign.certify();
   EXPECT_TRUE(check.valid) << check.message;
+}
+
+TEST(HierTest, SplitBacklogGaugeCountsSiteBacklogs) {
+  // A covered host's split request waits in its site's backlog, not the
+  // root's: the live gauge must count both.
+  obs::MetricRegistry metrics;
+  Campaign campaign(gen::pigeonhole_unsat(8), "grid0", four_site_testbed(),
+                    hier_config(4));
+  campaign.set_metrics(&metrics);
+  double peak = 0.0;
+  std::function<void()> sample = [&] {
+    for (const obs::MetricRegistry::Sample& s : metrics.snapshot()) {
+      if (s.name == "campaign.split_backlog") peak = std::max(peak, s.value);
+    }
+    campaign.engine().schedule_in(0.5, sample);
+  };
+  campaign.engine().schedule_in(0.5, sample);
+  const GridSatResult result = campaign.run();
+  ASSERT_EQ(result.status, CampaignStatus::kUnsat);
+  ASSERT_GT(result.total_splits, 0u);
+  EXPECT_GT(peak, 0.0);
 }
 
 TEST(HierTest, SameSeedTracesAreByteIdenticalPerTopology) {
