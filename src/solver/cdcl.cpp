@@ -918,20 +918,20 @@ std::optional<Lit> CdclSolver::pick_branch() {
 }
 
 void CdclSolver::proof_add(cnf::Clause clause) {
-  if (proof_sink_) proof_sink_->proof_add(clause);
-  proof_.add(std::move(clause));
+  if (proof_sink_) proof_sink_->proof_add(std::move(clause));
+  else proof_.add(std::move(clause));
 }
 
 void CdclSolver::proof_delete(ClauseRef cref) {
-  if (!proof_on()) return;
+  // Deletions never reach a sink: in a distributed proof another worker
+  // may still depend on its own copy of the clause (see solver/proof.hpp).
+  if (!local_proof()) return;
   const auto lits = arena_.lits(cref);
-  // Deletions stay local: in a distributed proof another worker may still
-  // depend on its own copy of the clause (see solver/proof.hpp).
   proof_.remove(cnf::Clause(lits.begin(), lits.end()));
 }
 
 void CdclSolver::log_terminal() {
-  if (!proof_on() || terminal_logged_) return;
+  if (!local_proof() || terminal_logged_) return;
   terminal_logged_ = true;
   cnf::Clause leaf;
   leaf.reserve(assumptions_.size());
@@ -1086,7 +1086,7 @@ bool CdclSolver::merge_imports() {
     ++stats_.imported_clauses;
     // Local log only: the learner's own proof_add already placed this
     // clause in any shared sink, earlier in arrival order.
-    if (proof_on()) proof_.add(c);
+    if (local_proof()) proof_.add(c);
     const std::size_t clauses_before = arena_.num_learned();
     const std::size_t trail_before = trail_.size();
     ClauseRef imported_ref = kNoClause;

@@ -359,7 +359,10 @@ class CdclSolver {
   /// an empty string when all invariants hold (tests call this).
   [[nodiscard]] std::string check_invariants() const;
 
-  /// The recorded proof (empty unless config.log_proof).
+  /// The solver's own recorded proof (empty unless config.log_proof).
+  /// It is the solver's log only while no proof sink is attached: with a
+  /// sink, additions go to the sink alone and deletions, imports and the
+  /// refutation terminal are not recorded anywhere.
   [[nodiscard]] const ProofLog& proof() const noexcept { return proof_; }
 
   /// The pure guiding-path assumptions this solver runs under: split
@@ -380,13 +383,13 @@ class CdclSolver {
     cancel_ = flag;
   }
 
-  /// Stream clause additions into a shared arrival-ordered log: learned
-  /// clauses and logged level-0 units are forwarded; imports are not
-  /// (their learner already contributed them), deletions are not (unsound
-  /// across workers), and neither is the refutation terminal (the
-  /// orchestrator records the leaf via DistributedProofBuilder::add_leaf).
-  /// Not owned; must outlive the solver's use. Only consulted while
-  /// config.log_proof is on.
+  /// Stream clause additions into a shared arrival-ordered log instead of
+  /// proof(): learned clauses and logged level-0 units are forwarded;
+  /// imports are not (their learner already contributed them), deletions
+  /// are not (unsound across workers), and neither is the refutation
+  /// terminal (the orchestrator records the leaf via
+  /// DistributedProofBuilder::add_leaf). Not owned; must outlive the
+  /// solver's use. Only consulted while config.log_proof is on.
   void set_proof_sink(ProofSink* sink) noexcept { proof_sink_ = sink; }
 
  private:
@@ -617,10 +620,16 @@ class CdclSolver {
   [[nodiscard]] bool proof_on() const noexcept {
     return kProofCompiledIn && config_.log_proof;
   }
+  /// True when proof() is this solver's log: proofs on, no sink attached.
+  [[nodiscard]] bool local_proof() const noexcept {
+    return proof_on() && proof_sink_ == nullptr;
+  }
+  /// To the sink if one is attached, else to proof().
   void proof_add(cnf::Clause clause);
   void proof_delete(ClauseRef cref);
-  /// Log the refutation terminal once: ¬(assumptions), which is the empty
-  /// clause for a full-formula solver.
+  /// Log the refutation terminal once to proof(): ¬(assumptions), which
+  /// is the empty clause for a full-formula solver. With a sink attached
+  /// the orchestrator records it as a leaf instead.
   void log_terminal();
 
   util::Xoshiro256 rng_;

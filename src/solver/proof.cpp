@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "solver/cdcl.hpp"
+#include "solver/sharing.hpp"
 
 namespace gridsat::solver {
 
@@ -76,12 +77,13 @@ bool is_rup(const std::vector<cnf::Clause>& database, cnf::Var num_vars,
   // Assume the negation of every literal of the candidate clause. A
   // contradictory candidate (contains l and ~l) is a tautology: trivially
   // implied, and the assumption set below would be inconsistent, so
-  // handle it first.
-  if (is_tautology(clause)) return true;
+  // handle it before assuming anything. A variable outside the formula is
+  // rejected first: once accepted, the clause would be read out of range.
   for (const Lit l : clause) {
     if (l.var() > num_vars) return false;
-    assignment[l.var()] = (~l).satisfying_value();
   }
+  if (is_tautology(clause)) return true;
+  for (const Lit l : clause) assignment[l.var()] = (~l).satisfying_value();
   return propagate_to_conflict(database, assignment);
 }
 
@@ -135,80 +137,99 @@ ProofCheckResult check_unsat_proof(const cnf::CnfFormula& formula,
 
 ProofChecker::ProofChecker(const cnf::CnfFormula& formula)
     : num_vars_(formula.num_vars()) {
-  assign_.assign(static_cast<std::size_t>(num_vars_) + 1, LBool::kUndef);
-  watches_.resize((static_cast<std::size_t>(num_vars_) + 1) * 2);
+  const std::size_t lit_codes = (static_cast<std::size_t>(num_vars_) + 1) * 2;
+  value_.assign(lit_codes, LBool::kUndef);
+  watches_.resize(lit_codes);
+  arena_.reserve(formula.num_literals() +
+                 kHeaderWords * formula.num_clauses());
   for (const cnf::Clause& c : formula.clauses()) add_clause(c);
 }
 
 void ProofChecker::enqueue(Lit l) {
-  assign_[l.var()] = l.satisfying_value();
+  value_[l.code()] = LBool::kTrue;
+  value_[(~l).code()] = LBool::kFalse;
   trail_.push_back(l);
 }
 
 bool ProofChecker::propagate() {
   while (qhead_ < trail_.size()) {
-    const Lit p = trail_[qhead_++];        // p just became true
-    auto& wl = watches_[(~p).code()];      // clauses watching ~p
-    std::size_t out = 0;
-    for (std::size_t i = 0; i < wl.size(); ++i) {
-      const std::uint32_t id = wl[i];
-      StoredClause& c = clauses_[id];
-      if (c.dead) continue;  // lazily drop deleted clauses from the list
-      auto& lits = c.lits;
-      if (lits[0] == ~p) std::swap(lits[0], lits[1]);
-      if (value(lits[0]) == LBool::kTrue) {
-        wl[out++] = id;
+    const Lit falsified = ~trail_[qhead_++];
+    auto& ws = watches_[falsified.code()];
+    // Compacting scan. Moved watches go only to non-false literals, never
+    // to `falsified`, so ws's buffer stays put.
+    Watch* const begin = ws.data();
+    Watch* const end = begin + ws.size();
+    Watch* i = begin;
+    Watch* j = begin;
+    while (i != end) {
+      // The common visit (blocker true) only reads; each run of them is
+      // shifted over the holes left by dropped watches in one copy.
+      Watch* const run = i;
+      while (i != end && value(i->blocker) == LBool::kTrue) ++i;
+      if (j != run) std::copy(run, i, j);
+      j += i - run;
+      if (i == end) break;
+      const Watch w = *i++;
+      if (arena_[w.cref + 1] != 0) continue;  // dead: drop the watch lazily
+      const std::uint32_t size = arena_[w.cref];
+      Lit* const c = lits(w.cref);
+      if (c[0] == falsified) std::swap(c[0], c[1]);
+      const Lit first = c[0];
+      // Refresh the blocker: the true first literal shields this clause
+      // from re-scans until it is unassigned.
+      if (value(first) == LBool::kTrue) {
+        *j++ = Watch{w.cref, first};
         continue;
       }
       bool moved = false;
-      for (std::size_t k = 2; k < lits.size(); ++k) {
-        if (value(lits[k]) != LBool::kFalse) {
-          std::swap(lits[1], lits[k]);
-          watches_[lits[1].code()].push_back(id);
+      for (std::uint32_t k = 2; k < size; ++k) {
+        if (value(c[k]) != LBool::kFalse) {
+          std::swap(c[1], c[k]);
+          watches_[c[1].code()].push_back(Watch{w.cref, first});
           moved = true;
           break;
         }
       }
       if (moved) continue;
-      wl[out++] = id;  // stays watched here
-      if (value(lits[0]) == LBool::kFalse) {
-        // Conflict. Preserve the unvisited tail of the list, then stop.
-        for (std::size_t j = i + 1; j < wl.size(); ++j) {
-          if (!clauses_[wl[j]].dead) wl[out++] = wl[j];
-        }
-        wl.resize(out);
+      *j++ = Watch{w.cref, first};  // stays watched here
+      if (value(first) == LBool::kFalse) {
+        // Conflict. Keep the unvisited tail of the list, then stop.
+        while (i != end) *j++ = *i++;
+        ws.resize(static_cast<std::size_t>(j - begin));
         qhead_ = trail_.size();
         return true;
       }
-      enqueue(lits[0]);
+      enqueue(first);
     }
-    wl.resize(out);
+    ws.resize(static_cast<std::size_t>(j - begin));
   }
   return false;
 }
 
 void ProofChecker::rollback_to_root() {
   for (std::size_t i = trail_.size(); i > root_size_; --i) {
-    assign_[trail_[i - 1].var()] = LBool::kUndef;
+    const Lit l = trail_[i - 1];
+    value_[l.code()] = LBool::kUndef;
+    value_[(~l).code()] = LBool::kUndef;
   }
   trail_.resize(root_size_);
   qhead_ = root_size_;
 }
 
 void ProofChecker::add_clause(const cnf::Clause& clause) {
-  cnf::Clause key = clause;
-  std::sort(key.begin(), key.end());
-  const auto id = static_cast<std::uint32_t>(clauses_.size());
-  clauses_.push_back(StoredClause{clause, false});
-  index_[std::move(key)].push_back(id);
+  const auto cref = static_cast<std::uint32_t>(arena_.size());
+  arena_.push_back(static_cast<std::uint32_t>(clause.size()));
+  arena_.push_back(0);  // dead flag
+  for (const Lit l : clause) arena_.push_back(l.code());
+  index_.emplace(clause_fingerprint(clause), cref);
   if (root_falsified_) return;
 
   // Bring up to two root-non-false literals to the front.
-  auto& lits = clauses_.back().lits;
+  Lit* const c = lits(cref);
   std::size_t non_false = 0;
-  for (std::size_t i = 0; i < lits.size() && non_false < 2; ++i) {
-    if (value(lits[i]) != LBool::kFalse) {
-      std::swap(lits[non_false], lits[i]);
+  for (std::size_t i = 0; i < clause.size() && non_false < 2; ++i) {
+    if (value(c[i]) != LBool::kFalse) {
+      std::swap(c[non_false], c[i]);
       ++non_false;
     }
   }
@@ -220,35 +241,49 @@ void ProofChecker::add_clause(const cnf::Clause& clause) {
     // Unit (or effectively unit) under the root trail: assert and extend
     // the persistent root level. No watches needed — root literals are
     // never unassigned, so the clause stays satisfied forever.
-    if (value(lits[0]) == LBool::kUndef) {
-      enqueue(lits[0]);
+    if (value(c[0]) == LBool::kUndef) {
+      enqueue(c[0]);
       if (propagate()) root_falsified_ = true;
       root_size_ = trail_.size();
       qhead_ = root_size_;
     }
     return;
   }
-  watches_[lits[0].code()].push_back(id);
-  watches_[lits[1].code()].push_back(id);
+  watches_[c[0].code()].push_back(Watch{cref, c[1]});
+  watches_[c[1].code()].push_back(Watch{cref, c[0]});
+}
+
+bool ProofChecker::holds(std::uint32_t cref, const cnf::Clause& sorted) {
+  if (arena_[cref] != sorted.size()) return false;
+  cnf::Clause stored(lits(cref), lits(cref) + sorted.size());
+  std::sort(stored.begin(), stored.end());
+  return stored == sorted;
 }
 
 void ProofChecker::delete_clause(const cnf::Clause& clause) {
   cnf::Clause key = clause;
   std::sort(key.begin(), key.end());
-  const auto it = index_.find(key);
-  if (it == index_.end() || it->second.empty()) return;  // absent: harmless
-  const std::uint32_t id = it->second.back();
-  it->second.pop_back();
-  if (it->second.empty()) index_.erase(it);
-  clauses_[id].dead = true;  // watch lists skip-and-drop it lazily
+  // Of several live copies, the most recently added one goes.
+  const auto [first, last] = index_.equal_range(clause_fingerprint(clause));
+  auto victim = last;
+  for (auto it = first; it != last; ++it) {
+    if ((victim == last || it->second > victim->second) &&
+        holds(it->second, key)) {
+      victim = it;
+    }
+  }
+  if (victim == last) return;  // absent: harmless
+  arena_[victim->second + 1] = 1;  // watch lists skip-and-drop it lazily
+  index_.erase(victim);
 }
 
 bool ProofChecker::rup(const cnf::Clause& clause) {
   if (root_falsified_) return true;  // everything is implied already
-  if (is_tautology(clause)) return true;
+  // Range first, as in is_rup: an accepted clause is attached by literal.
   for (const Lit l : clause) {
     if (l.var() > num_vars_) return false;
   }
+  if (is_tautology(clause)) return true;
   bool conflict = false;
   for (const Lit l : clause) {
     const LBool v = value(l);
@@ -373,9 +408,9 @@ bool refute_residual_cover(const std::set<std::vector<std::uint32_t>>& sets,
 
 }  // namespace
 
-void DistributedProofBuilder::proof_add(const cnf::Clause& clause) {
+void DistributedProofBuilder::proof_add(cnf::Clause clause) {
   const std::scoped_lock lock(mu_);
-  log_.add(clause);
+  log_.add(std::move(clause));
 }
 
 void DistributedProofBuilder::add_leaf(

@@ -38,10 +38,10 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <map>
 #include <mutex>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "cnf/formula.hpp"
@@ -115,10 +115,16 @@ bool is_rup(const std::vector<cnf::Clause>& database, cnf::Var num_vars,
             const cnf::Clause& clause);
 
 /// Incremental watched-literal RUP checker. Same verdicts as
-/// check_unsat_proof on adds-only proofs, but O(propagations) per step
-/// instead of O(database^2): the root trail persists across steps,
-/// assumption literals are pushed and rolled back per check, and
-/// deletions detach lazily. One difference from the reference checker is
+/// check_unsat_proof on adds-only proofs, but it never rescans the
+/// database: the root trail persists across steps, assumption literals
+/// are pushed and rolled back per check, and deletions detach lazily. A
+/// step costs one visit per watch entry of every literal its propagation
+/// falsifies, so the layout is built for the visit: clause literals sit
+/// in one flat arena (a size word, a dead flag, then the literal codes),
+/// each watch entry carries a blocker literal that is refreshed whenever
+/// the first watched literal is seen true, and truth values are read from
+/// a table indexed by literal code. Most visits find the blocker true and
+/// never touch the arena. One difference from the reference checker is
 /// deliberate: root-level implications survive the deletion of their
 /// antecedent clause (sound — the implication was already derived), so
 /// this checker accepts a superset of what the reference accepts.
@@ -131,14 +137,22 @@ class ProofChecker {
   ProofCheckResult check(const ProofLog& proof);
 
  private:
-  struct StoredClause {
-    std::vector<cnf::Lit> lits;
-    bool dead = false;
+  /// Arena words per clause ahead of its literals: size, dead flag.
+  static constexpr std::uint32_t kHeaderWords = 2;
+
+  struct Watch {
+    std::uint32_t cref;  ///< arena offset of the clause
+    cnf::Lit blocker;    ///< another literal; the clause is skipped if true
   };
 
   [[nodiscard]] cnf::LBool value(cnf::Lit l) const noexcept {
-    return l.value_under(assign_[l.var()]);
+    return value_[l.code()];
   }
+  [[nodiscard]] cnf::Lit* lits(std::uint32_t cref) noexcept {
+    return reinterpret_cast<cnf::Lit*>(arena_.data() + cref + kHeaderWords);
+  }
+  /// True when the clause at `cref` has exactly the literals of `sorted`.
+  [[nodiscard]] bool holds(std::uint32_t cref, const cnf::Clause& sorted);
   void enqueue(cnf::Lit l);
   bool propagate();  // true iff a conflict was reached
   void rollback_to_root();
@@ -147,14 +161,15 @@ class ProofChecker {
   bool rup(const cnf::Clause& clause);
 
   cnf::Var num_vars_ = 0;
-  std::vector<StoredClause> clauses_;
-  std::vector<std::vector<std::uint32_t>> watches_;  // indexed by lit code
-  std::vector<cnf::LBool> assign_;                   // indexed by var
+  std::vector<std::uint32_t> arena_;
+  std::vector<std::vector<Watch>> watches_;  // indexed by lit code
+  std::vector<cnf::LBool> value_;            // indexed by lit code
   std::vector<cnf::Lit> trail_;
   std::size_t qhead_ = 0;
   std::size_t root_size_ = 0;    // trail prefix that persists across checks
   bool root_falsified_ = false;  // formula already refuted at level 0
-  std::map<cnf::Clause, std::vector<std::uint32_t>> index_;  // sorted -> ids
+  // Order-insensitive clause fingerprint -> arena offsets, for deletions.
+  std::unordered_multimap<std::uint64_t, std::uint32_t> index_;
 };
 
 /// One-call certification with the watched-literal checker.
@@ -166,7 +181,7 @@ ProofCheckResult certify(const cnf::CnfFormula& formula,
 class ProofSink {
  public:
   virtual ~ProofSink() = default;
-  virtual void proof_add(const cnf::Clause& clause) = 0;
+  virtual void proof_add(cnf::Clause clause) = 0;
 };
 
 /// Accumulates the global arrival-ordered adds-only proof of a
@@ -182,7 +197,7 @@ class DistributedProofBuilder final : public ProofSink {
  public:
   /// Arrival-ordered clause addition (learned or imported). Deletions are
   /// intentionally not representable here — see the header comment.
-  void proof_add(const cnf::Clause& clause) override;
+  void proof_add(cnf::Clause clause) override;
 
   /// Record that a subproblem with this guiding-path assumption set was
   /// refuted, and append its negated-assumption clause to the log. An

@@ -159,7 +159,9 @@ std::vector<double> replay_fingerprint(QueueKind kind, std::uint64_t seed) {
   util::Xoshiro256 rng(seed);
   std::vector<double> trace;
   int budget = 10000;
-  std::function<void(int)> spawn = [&](int tag) {
+  // Tags are unsigned: a deep chain's tag * 10 wraps instead of
+  // overflowing.
+  std::function<void(std::uint32_t)> spawn = [&](std::uint32_t tag) {
     trace.push_back(engine.now());
     trace.push_back(static_cast<double>(tag));
     if (budget <= 0) return;
@@ -167,13 +169,13 @@ std::vector<double> replay_fingerprint(QueueKind kind, std::uint64_t seed) {
     EventId last = kNoEvent;
     for (int i = 0; i < fan && budget > 0; ++i) {
       --budget;
-      const int child = tag * 10 + i;
+      const std::uint32_t child = tag * 10 + static_cast<std::uint32_t>(i);
       last = engine.schedule_in(rng.uniform(0.0, 50.0),
                                 [&spawn, child] { spawn(child); });
     }
     if (last != kNoEvent && rng.below(8) == 0) engine.cancel(last);
   };
-  for (int root = 0; root < 32; ++root) {
+  for (std::uint32_t root = 0; root < 32; ++root) {
     --budget;
     engine.schedule_at(rng.uniform(0.0, 10.0),
                        [&spawn, root] { spawn(root); });

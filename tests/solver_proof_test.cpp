@@ -15,6 +15,7 @@
 #include "solver/cdcl.hpp"
 #include "solver/parallel.hpp"
 #include "solver/proof.hpp"
+#include "util/rng.hpp"
 
 namespace gridsat::solver {
 namespace {
@@ -275,6 +276,222 @@ TEST(ProofCheckerTest, RandomSweepAgreement) {
     const ProofCheckResult naive = check_unsat_proof(f, solver.proof());
     const ProofCheckResult fast = certify(f, solver.proof());
     EXPECT_EQ(naive.valid, fast.valid) << "seed " << seed;
+  }
+}
+
+// Semantic pins for the checker's corner cases. Each small proof is run
+// through certify() and, where the two agree by design, through the
+// reference checker too.
+
+cnf::Clause clause_of(std::initializer_list<std::int64_t> dimacs) {
+  cnf::Clause c;
+  for (const std::int64_t d : dimacs) c.push_back(Lit::from_dimacs(d));
+  return c;
+}
+
+void expect_both(const CnfFormula& f, const ProofLog& proof, bool valid,
+                 std::size_t steps_checked, std::size_t failed_step = 0) {
+  for (const ProofCheckResult& r :
+       {certify(f, proof), check_unsat_proof(f, proof)}) {
+    EXPECT_EQ(r.valid, valid) << r.message;
+    EXPECT_EQ(r.steps_checked, steps_checked);
+    EXPECT_EQ(r.failed_step, failed_step);
+  }
+}
+
+TEST(ProofCheckerTest, DuplicateAddSurvivesOneDeletion) {
+  // {1 2} is RUP via the pair {1 2 ±3}; once those are gone, only a live
+  // copy of {1 2} makes {1} RUP (with {1 -2}).
+  CnfFormula f(4);
+  f.add_dimacs_clause({1, 2, 3});
+  f.add_dimacs_clause({1, 2, -3});
+  f.add_dimacs_clause({1, -2});
+  f.add_dimacs_clause({-1, 4});
+  f.add_dimacs_clause({-1, -4});
+  const auto proof_deleting = [](int copies_deleted) {
+    ProofLog proof;
+    proof.add(clause_of({1, 2}));
+    proof.add(clause_of({2, 1}));
+    for (int i = 0; i < copies_deleted; ++i) proof.remove(clause_of({1, 2}));
+    proof.remove(clause_of({1, 2, 3}));
+    proof.remove(clause_of({-3, 2, 1}));
+    proof.add(clause_of({1}));
+    proof.add_empty();
+    return proof;
+  };
+  expect_both(f, proof_deleting(1), true, 7);
+  // Both copies gone: {1} is no longer RUP.
+  expect_both(f, proof_deleting(2), false, 6, 6);
+}
+
+TEST(ProofCheckerTest, DeletingAnAbsentClauseIsHarmless) {
+  CnfFormula f(2);
+  f.add_dimacs_clause({1, 2});
+  f.add_dimacs_clause({1, -2});
+  f.add_dimacs_clause({-1, 2});
+  f.add_dimacs_clause({-1, -2});
+  ProofLog proof;
+  proof.remove(clause_of({1}));
+  proof.remove(clause_of({1, 2, 3}));  // not in the database, nor in range
+  proof.remove(clause_of({2, -1, 1}));
+  proof.add(clause_of({1}));
+  proof.add_empty();
+  expect_both(f, proof, true, 5);
+}
+
+TEST(ProofCheckerTest, RepeatedLiteralClausePropagates) {
+  // {1 1 2} watches literal 1 twice; once 1 is false it must still imply 2.
+  CnfFormula f(4);
+  f.add_dimacs_clause({1, 1, 2});
+  f.add_dimacs_clause({-2, 3});
+  f.add_dimacs_clause({-2, -3});
+  f.add_dimacs_clause({-1, 4});
+  f.add_dimacs_clause({-1, -4});
+  ProofLog proof;
+  proof.add(clause_of({1}));
+  proof.add_empty();
+  expect_both(f, proof, true, 2);
+}
+
+TEST(ProofCheckerTest, RootUnitSurvivesDeletionOfItsAntecedent) {
+  // The documented superset behaviour: 2 is implied at the root by {1}
+  // and {-1 2}; deleting {-1 2} keeps 2 on the checker's root trail, so
+  // {2} stays RUP for certify() while the reference checker rejects it.
+  CnfFormula f(4);
+  f.add_dimacs_clause({1});
+  f.add_dimacs_clause({-1, 2});
+  f.add_dimacs_clause({-2, 3, 4});
+  f.add_dimacs_clause({-2, -3, 4});
+  f.add_dimacs_clause({-2, 3, -4});
+  f.add_dimacs_clause({-2, -3, -4});
+  ProofLog proof;
+  proof.remove(clause_of({-1, 2}));
+  proof.add(clause_of({2}));
+  proof.add(clause_of({3}));
+  proof.add_empty();
+  const ProofCheckResult fast = certify(f, proof);
+  EXPECT_TRUE(fast.valid) << fast.message;
+  EXPECT_EQ(fast.steps_checked, 4u);
+  const ProofCheckResult naive = check_unsat_proof(f, proof);
+  EXPECT_FALSE(naive.valid);
+  EXPECT_EQ(naive.failed_step, 1u);
+}
+
+TEST(ProofCheckerTest, OutOfRangeLemmaRejectedAtItsIndex) {
+  // {1 2 5} would be implied by {1 2}, but variable 5 is not in the
+  // formula.
+  CnfFormula f(2);
+  f.add_dimacs_clause({1, 2});
+  ProofLog proof;
+  proof.add(clause_of({1, 2}));
+  proof.add(clause_of({1, 2, 5}));
+  proof.add_empty();
+  expect_both(f, proof, false, 1, 1);
+}
+
+TEST(ProofCheckerTest, OutOfRangeTautologyRejectedAtItsIndex) {
+  // A tautology is implied by anything, but one over a variable outside
+  // the formula is malformed: accepting it would attach it out of range.
+  CnfFormula f(2);
+  f.add_dimacs_clause({1, 2});
+  f.add_dimacs_clause({-1, 2});
+  ProofLog proof;
+  proof.add(clause_of({2}));
+  proof.add(clause_of({3, -3}));
+  proof.add(clause_of({-2}));
+  expect_both(f, proof, false, 1, 1);
+  EXPECT_FALSE(is_rup(f.clauses(), f.num_vars(), clause_of({1, 3, -3})));
+}
+
+TEST(ProofCheckerTest, FormulaWithEmptyClauseAcceptsAnyProof) {
+  CnfFormula f(3);
+  f.add_dimacs_clause({1, 2});
+  f.add_clause({});
+  ProofLog proof;
+  proof.add(clause_of({3}));  // not implied by {1 2}, but nothing needs to be
+  proof.add(clause_of({-3}));
+  proof.add_empty();
+  expect_both(f, proof, true, 3);
+  ProofLog only_empty;
+  only_empty.add_empty();
+  expect_both(f, only_empty, true, 1);
+}
+
+// Seeded mutations of real proofs: certify() and the reference checker
+// must agree exactly on adds-only proofs (root implications never lose
+// their antecedent there), and certify() may only accept more on proofs
+// with deletions.
+enum class Mutation { kDrop, kNegate, kTruncate, kToggleDeletion };
+
+ProofLog mutate(const ProofLog& proof, Mutation kind, util::Xoshiro256& rng) {
+  std::vector<ProofStep> steps = proof.steps();
+  const std::size_t at = rng.below(steps.size());
+  switch (kind) {
+    case Mutation::kDrop:
+      steps.erase(steps.begin() + static_cast<std::ptrdiff_t>(at));
+      break;
+    case Mutation::kNegate:
+      if (!steps[at].clause.empty()) {
+        Lit& l = steps[at].clause[rng.below(steps[at].clause.size())];
+        l = ~l;
+      }
+      break;
+    case Mutation::kTruncate:
+      steps.resize(at);
+      break;
+    case Mutation::kToggleDeletion:
+      steps[at].deletion = !steps[at].deletion;
+      break;
+  }
+  ProofLog out;
+  for (ProofStep& s : steps) {
+    if (s.deletion) out.remove(std::move(s.clause));
+    else out.add(std::move(s.clause));
+  }
+  return out;
+}
+
+TEST(ProofCheckerTest, MutatedStitchedProofsAgreeWithReference) {
+  REQUIRE_PROOF_HOOKS();
+  util::Xoshiro256 rng(14);
+  for (const CnfFormula& f :
+       {gen::urquhart_like(10, 3), gen::pigeonhole_unsat(6)}) {
+    ParallelOptions options;
+    options.num_threads = 4;
+    options.slice_work = 10'000;
+    options.solver.log_proof = true;
+    ParallelSolver solver(f, options);
+    const ParallelResult result = solver.solve();
+    ASSERT_EQ(result.status, SolveStatus::kUnsat);
+    ASSERT_TRUE(result.proof != nullptr);
+    ASSERT_TRUE(result.proof_stitched) << result.proof_error;
+    for (int trial = 0; trial < 8; ++trial) {
+      const auto kind = static_cast<Mutation>(trial % 3);
+      const ProofLog mutated = mutate(*result.proof, kind, rng);
+      const ProofCheckResult naive = check_unsat_proof(f, mutated);
+      const ProofCheckResult fast = certify(f, mutated);
+      EXPECT_EQ(naive.valid, fast.valid) << "trial " << trial;
+      EXPECT_EQ(naive.steps_checked, fast.steps_checked) << "trial " << trial;
+      EXPECT_EQ(naive.failed_step, fast.failed_step) << "trial " << trial;
+    }
+  }
+}
+
+TEST(ProofCheckerTest, MutatedProofsWithDeletionsAcceptASuperset) {
+  REQUIRE_PROOF_HOOKS();
+  SolverConfig config = proof_config();
+  config.reduce_base = 50;
+  config.reduce_growth = 1.05;
+  const CnfFormula f = gen::pigeonhole_unsat(5);
+  CdclSolver solver(f, config);
+  ASSERT_EQ(solver.solve(), SolveStatus::kUnsat);
+  util::Xoshiro256 rng(41);
+  for (int trial = 0; trial < 16; ++trial) {
+    const auto kind = static_cast<Mutation>(trial % 4);
+    const ProofLog mutated = mutate(solver.proof(), kind, rng);
+    if (check_unsat_proof(f, mutated).valid) {
+      EXPECT_TRUE(certify(f, mutated).valid) << "trial " << trial;
+    }
   }
 }
 
