@@ -6,9 +6,13 @@
 //  * within a clause, literal codes are sorted ascending and the gaps
 //    are LEB128-encoded (watch order is rebuilt on attach, so in-clause
 //    order is free to give away; sorted gaps make most literals 1 byte);
-//  * across the stream, clauses are stable-sorted by length and emitted
-//    as (len, count) runs, so per-clause length prefixes collapse to one
-//    header per run.
+//  * across the stream, clauses are grouped by length, stably, and
+//    emitted as (len, count) runs, so per-clause length prefixes collapse
+//    to one header per run.
+//
+// Split children arrive already canonical (CdclSolver::to_subproblem
+// sorts each clause once), so the encoder only sorts a clause that is not
+// ascending, and groups by length with a counting sort.
 //
 // Encoders are templates over the writer so the same code path runs
 // against util::ByteWriter (real bytes) and util::ByteCounter
@@ -20,7 +24,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <numeric>
 #include <span>
 #include <vector>
 
@@ -35,71 +38,89 @@ namespace gridsat::cnf {
 /// literals, length runs, base-formula references, and checkpoint epochs.
 inline constexpr std::uint8_t kWireFormatVersion = 2;
 
-/// Encode one clause whose literal codes are already sorted ascending:
-/// first code absolute, then the gaps. Gap 0 (duplicate literal) is legal
-/// and round-trips.
+/// Encode one clause whose literals are already sorted ascending: first
+/// code absolute, then the gaps. Gap 0 (duplicate literal) is legal and
+/// round-trips.
 template <class W>
-void encode_sorted_codes(W& out, std::span<const std::uint32_t> codes) {
-  out.var_u64(codes[0]);
-  for (std::size_t i = 1; i < codes.size(); ++i) {
-    out.var_u64(codes[i] - codes[i - 1]);
+void encode_sorted_lits(W& out, std::span<const Lit> lits) {
+  out.var_u64(lits[0].code());
+  for (std::size_t i = 1; i < lits.size(); ++i) {
+    out.var_u64(lits[i].code() - lits[i - 1].code());
   }
 }
 
 /// Encode `count` clauses as length-grouped runs. The clauses are
 /// addressed by index so callers can encode straight out of whatever
 /// store they own (a std::vector<Clause>, a ClauseArena span) without
-/// materializing a copy:
-///   size_of(i)        -> number of literals in clause i
-///   codes_of(i, tmp)  -> fill tmp with clause i's literal codes (any order)
-/// Empty clauses are not representable on the wire (an empty clause means
-/// the search already refuted this node; nothing legitimate ships one).
-template <class W, class SizeFn, class CodesFn>
-void encode_clause_stream(W& out, std::size_t count, SizeFn&& size_of,
-                          CodesFn&& codes_of) {
+/// materializing a copy: lits_of(i) returns clause i's literals, in any
+/// order, as a std::span<const Lit>. Clauses keep their relative order
+/// within a run. Empty clauses are not representable on the wire (an
+/// empty clause means the search already refuted this node; nothing
+/// legitimate ships one).
+template <class W, class LitsFn>
+void encode_clause_stream(W& out, std::size_t count, LitsFn&& lits_of) {
   out.var_u64(count);
-  std::vector<std::uint32_t> order(count);
-  std::iota(order.begin(), order.end(), 0u);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     return size_of(a) < size_of(b);
-                   });
-  std::vector<std::uint32_t> codes;
-  std::size_t i = 0;
-  while (i < count) {
-    const std::size_t len = size_of(order[i]);
+  // Counting sort of the clause indices by length: `first[len]` becomes
+  // the start of length len's run in `order`.
+  std::size_t max_len = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::size_t len = lits_of(i).size();
     if (len == 0) throw util::DecodeError("cannot encode an empty clause");
-    std::size_t j = i + 1;
-    while (j < count && size_of(order[j]) == len) ++j;
+    max_len = std::max(max_len, len);
+  }
+  std::vector<std::uint32_t> first(max_len + 2, 0);
+  for (std::size_t i = 0; i < count; ++i) ++first[lits_of(i).size() + 1];
+  for (std::size_t len = 1; len <= max_len + 1; ++len) {
+    first[len] += first[len - 1];
+  }
+  std::vector<std::uint32_t> order(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    order[first[lits_of(i).size()]++] = static_cast<std::uint32_t>(i);
+  }
+  // Now first[len] is the end of length len's run, i.e. the start of
+  // the next length's.
+  std::vector<Lit> scratch;
+  std::size_t i = 0;
+  for (std::size_t len = 1; len <= max_len; ++len) {
+    const std::size_t j = first[len];
+    if (j == i) continue;
     out.var_u64(len);
     out.var_u64(j - i);
-    for (std::size_t k = i; k < j; ++k) {
-      codes.clear();
-      codes_of(order[k], codes);
-      std::sort(codes.begin(), codes.end());
-      encode_sorted_codes(out, codes);
+    for (; i < j; ++i) {
+      const std::span<const Lit> lits = lits_of(order[i]);
+      if (std::is_sorted(lits.begin(), lits.end())) {
+        encode_sorted_lits(out, lits);
+      } else {
+        scratch.assign(lits.begin(), lits.end());
+        std::sort(scratch.begin(), scratch.end());
+        encode_sorted_lits(out, std::span<const Lit>(scratch));
+      }
     }
-    i = j;
   }
 }
 
 /// Convenience overload for a contiguous range of cnf::Clause.
 template <class W>
 void encode_clause_stream(W& out, std::span<const Clause> clauses) {
-  encode_clause_stream(
-      out, clauses.size(), [&](std::uint32_t i) { return clauses[i].size(); },
-      [&](std::uint32_t i, std::vector<std::uint32_t>& codes) {
-        for (const Lit l : clauses[i]) codes.push_back(l.code());
-      });
+  encode_clause_stream(out, clauses.size(), [&](std::size_t i) {
+    return std::span<const Lit>(clauses[i]);
+  });
+}
+
+/// Largest literal code over variables 1..num_vars: the bound a decoder
+/// checks so a payload cannot name a variable its receiver does not have.
+inline std::uint64_t max_lit_code(Var num_vars) {
+  return std::min<std::uint64_t>(2 * std::uint64_t{num_vars} + 1, UINT32_MAX);
 }
 
 /// Decode a clause stream, appending to `out`. Clauses come back with
 /// literals sorted ascending (the canonical wire order); attach rebuilds
 /// watches, so semantics are unchanged. Structural bounds are validated
 /// before any allocation so adversarial buffers fail with DecodeError
-/// instead of an out-of-memory reserve.
-inline void decode_clause_stream(util::ByteReader& in,
-                                 std::vector<Clause>& out) {
+/// instead of an out-of-memory reserve, and every literal code must lie
+/// in [2, max_code].
+inline void decode_clause_stream(util::ByteReader& in, std::vector<Clause>& out,
+                                 std::uint64_t max_code = UINT32_MAX) {
   const std::uint64_t count = in.var_u64();
   // Every clause carries >= 1 literal and every literal >= 1 byte.
   if (count > in.remaining()) {
@@ -124,7 +145,7 @@ inline void decode_clause_stream(util::ByteReader& in,
       for (std::uint64_t m = 0; m < len; ++m) {
         const std::uint64_t delta = in.var_u64();
         const std::uint64_t next = (m == 0 ? delta : code + delta);
-        if (next > UINT32_MAX || (m == 0 && next < 2)) {
+        if (next > max_code || (m == 0 && next < 2)) {
           throw util::DecodeError("literal code out of range");
         }
         code = static_cast<std::uint32_t>(next);
@@ -144,7 +165,8 @@ void encode_lit_array(W& out, std::span<const Lit> lits) {
   for (const Lit l : lits) out.var_u64(l.code());
 }
 
-inline void decode_lit_array(util::ByteReader& in, std::vector<Lit>& out) {
+inline void decode_lit_array(util::ByteReader& in, std::vector<Lit>& out,
+                             std::uint64_t max_code = UINT32_MAX) {
   const std::uint64_t count = in.var_u64();
   if (count > in.remaining()) {
     throw util::DecodeError("literal array count exceeds buffer");
@@ -152,7 +174,7 @@ inline void decode_lit_array(util::ByteReader& in, std::vector<Lit>& out) {
   out.reserve(out.size() + count);
   for (std::uint64_t i = 0; i < count; ++i) {
     const std::uint64_t code = in.var_u64();
-    if (code < 2 || code > UINT32_MAX) {
+    if (code < 2 || code > max_code) {
       throw util::DecodeError("literal code out of range");
     }
     out.push_back(Lit::from_code(static_cast<std::uint32_t>(code)));

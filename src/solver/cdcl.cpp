@@ -107,12 +107,34 @@ void CdclSolver::init(Var num_vars, const std::vector<cnf::Clause>& clauses,
       return;
     }
   }
-  for (std::size_t i = 0; i < clauses.size(); ++i) {
-    if (!add_clause_at_level0(clauses[i], /*learned=*/i >= num_problem_clauses)) {
-      root_conflict_ = true;
-      return;
-    }
+  // Bulk load: store every clause first, then attach them all in clause
+  // order, which gives the same watch lists as attaching one by one
+  // (loading reads assignments, never watches).
+  bool ok = true;
+  for (std::size_t i = 0; ok && i < clauses.size(); ++i) {
+    ClauseRef ref = kNoClause;
+    ok = load_clause_at_level0(clauses[i], /*learned=*/i >= num_problem_clauses,
+                               ref);
   }
+  attach_all();
+  stats_.peak_db_bytes = std::max(stats_.peak_db_bytes, arena_.live_bytes());
+  if (!ok) root_conflict_ = true;
+}
+
+void CdclSolver::attach_all() {
+  const std::size_t num_codes = watches_.size();
+  std::vector<std::uint32_t> counts(2 * num_codes, 0);  // long, then binary
+  arena_.for_each([&](ClauseRef r) {
+    const std::size_t base = in_binary_store(r) ? num_codes : 0;
+    ++counts[base + arena_.lit(r, 0).code()];
+    ++counts[base + arena_.lit(r, 1).code()];
+  });
+  for (std::size_t code = 0; code < num_codes; ++code) {
+    watches_[code].reserve(watches_[code].size() + counts[code]);
+    bin_watches_[code].reserve(bin_watches_[code].size() +
+                               counts[num_codes + code]);
+  }
+  arena_.for_each([this](ClauseRef r) { attach(r); });
 }
 
 bool CdclSolver::enqueue_level0(Lit p, bool tainted) {
@@ -133,20 +155,39 @@ bool CdclSolver::enqueue_level0(Lit p, bool tainted) {
   return true;
 }
 
-bool CdclSolver::add_clause_at_level0(const cnf::Clause& clause, bool learned,
+bool CdclSolver::add_clause_at_level0(std::span<const Lit> clause, bool learned,
                                       ClauseRef* new_ref) {
-  assert(decision_level() == 0);
-  if (new_ref != nullptr) *new_ref = kNoClause;
-  // Preprocess: sort/dedupe, detect tautology, apply level-0 facts.
-  std::vector<Lit> lits(clause.begin(), clause.end());
-  std::sort(lits.begin(), lits.end());
-  lits.erase(std::unique(lits.begin(), lits.end()), lits.end());
-  for (std::size_t i = 0; i + 1 < lits.size(); ++i) {
-    if (lits[i].var() == lits[i + 1].var()) return true;  // tautology
+  ClauseRef cref = kNoClause;
+  const bool ok = load_clause_at_level0(clause, learned, cref);
+  if (new_ref != nullptr) *new_ref = cref;
+  if (cref != kNoClause) {
+    attach(cref);
+    stats_.peak_db_bytes = std::max(stats_.peak_db_bytes, arena_.live_bytes());
   }
-  std::vector<Lit> kept;
-  kept.reserve(lits.size());
-  for (const Lit l : lits) {
+  return ok;
+}
+
+bool CdclSolver::load_clause_at_level0(std::span<const Lit> clause,
+                                       bool learned, ClauseRef& new_ref) {
+  assert(decision_level() == 0);
+  new_ref = kNoClause;
+  std::span<const Lit> lits = clause;
+  if (!std::is_sorted(lits.begin(), lits.end())) {
+    load_sorted_.assign(lits.begin(), lits.end());
+    std::sort(load_sorted_.begin(), load_sorted_.end());
+    lits = load_sorted_;
+  }
+  // One pass over the sorted literals: a duplicate sits next to its twin
+  // and a literal next to its negation (codes 2v and 2v+1). Apply the
+  // level-0 facts on the way.
+  load_open_.clear();
+  load_false_.clear();
+  for (std::size_t i = 0; i < lits.size(); ++i) {
+    const Lit l = lits[i];
+    if (i > 0 && l.var() == lits[i - 1].var()) {
+      if (l == lits[i - 1]) continue;  // duplicate
+      return true;                     // tautology
+    }
     if (l.var() > num_vars_) {
       // Grow the universe? Clauses beyond num_vars indicate generator or
       // wire corruption; treat as hard error in debug, tolerate by growth
@@ -160,34 +201,27 @@ bool CdclSolver::add_clause_at_level0(const cnf::Clause& clause, bool learned,
       case LBool::kFalse:
         // Keep tainted-false literals: dropping them would make clauses
         // derived from this one depend on split assumptions invisibly.
-        if (tainted(l.var())) kept.push_back(l);
+        if (tainted(l.var())) load_false_.push_back(l);
         break;
       case LBool::kUndef:
-        kept.push_back(l);
+        load_open_.push_back(l);
         break;
     }
   }
-  // Partition: unassigned literals first so the watched pair is sane.
-  std::stable_partition(kept.begin(), kept.end(),
-                        [this](Lit l) { return value(l) == LBool::kUndef; });
-  const std::size_t num_open =
-      static_cast<std::size_t>(std::count_if(kept.begin(), kept.end(), [this](Lit l) {
-        return value(l) == LBool::kUndef;
-      }));
+  const std::size_t num_open = load_open_.size();
   if (num_open == 0) return false;  // all literals false => conflict
-  if (num_open == 1 && kept.size() == 1) {
-    return enqueue_level0(kept[0], /*tainted=*/false);
+  if (num_open == 1 && load_false_.empty()) {
+    return enqueue_level0(load_open_[0], /*tainted=*/false);
   }
-  const ClauseRef cref = arena_.alloc(kept, learned);
-  if (new_ref != nullptr) *new_ref = cref;
-  attach(cref);
+  // Unassigned literals first so the watched pair is sane.
+  load_open_.insert(load_open_.end(), load_false_.begin(), load_false_.end());
+  new_ref = arena_.alloc(load_open_, learned);
   if (num_open == 1) {
     // Effectively unit: imply the open literal; taint flows from the kept
     // tainted-false literals through the reason clause.
-    if (!enqueue(kept[0], cref)) return false;
+    if (!enqueue(load_open_[0], new_ref)) return false;
     ++stats_.propagations;
   }
-  stats_.peak_db_bytes = std::max(stats_.peak_db_bytes, arena_.live_bytes());
   return true;
 }
 
@@ -1023,9 +1057,8 @@ void CdclSolver::garbage_collect() {
 }
 
 void CdclSolver::compact_ordered() {
-  // The ordered rewrite builds a second buffer (transiently ~2x the live
-  // bytes); under memory pressure fall back to the in-place gc so the
-  // squeeze path never overshoots the limit it is trying to respect.
+  // Under memory pressure keep the allocation-order gc(): it needs no
+  // order vector and no sort on the squeeze path.
   if (arena_.live_bytes() > config_.memory_limit_bytes / 2) {
     garbage_collect();
     return;
@@ -1351,23 +1384,46 @@ Subproblem CdclSolver::to_subproblem() const {
   }
   // Problem clauses first, then learned; skip clauses satisfied at level 0
   // (they would be pruned on arrival anyway — don't pay to ship them).
-  auto satisfied_at_level0 = [&](ClauseRef r) {
-    for (const Lit l : arena_.lits(r)) {
-      if (value(l) == LBool::kTrue && vars_[l.var()].level == 0) return true;
-    }
-    return false;
+  std::vector<ClauseRef> shipped;
+  shipped.reserve(arena_.num_problem() + arena_.num_learned());
+  const auto collect = [&](bool learned) {
+    arena_.for_each([&](ClauseRef r) {
+      if (arena_.learned(r) != learned) return;
+      for (const Lit l : arena_.lits(r)) {
+        if (value(l) == LBool::kTrue && vars_[l.var()].level == 0) return;
+      }
+      shipped.push_back(r);
+    });
   };
-  arena_.for_each([&](ClauseRef r) {
-    if (arena_.learned(r) || satisfied_at_level0(r)) return;
-    const auto lits = arena_.lits(r);
-    sp.clauses.emplace_back(lits.begin(), lits.end());
-  });
-  sp.num_problem_clauses = sp.clauses.size();
-  arena_.for_each([&](ClauseRef r) {
-    if (!arena_.learned(r) || satisfied_at_level0(r)) return;
-    const auto lits = arena_.lits(r);
-    sp.clauses.emplace_back(lits.begin(), lits.end());
-  });
+  collect(false);
+  sp.num_problem_clauses = shipped.size();
+  collect(true);
+  // Each clause leaves in canonical order (literals ascending), so neither
+  // the encoder nor the receiver's loader sorts it again. One counting
+  // sort keyed by literal code canonicalizes them all in linear time:
+  // bucket every occurrence by its code, then walk the codes in ascending
+  // order, appending each to the clauses that hold it.
+  std::vector<std::uint32_t> first(2 * static_cast<std::size_t>(num_vars_) + 3, 0);
+  std::size_t occurrences = 0;
+  for (const ClauseRef r : shipped) {
+    for (const Lit l : arena_.lits(r)) ++first[l.code() + 1];
+    occurrences += arena_.size(r);
+  }
+  for (std::size_t c = 1; c < first.size(); ++c) first[c] += first[c - 1];
+  std::vector<std::uint32_t> holder(occurrences);  // clause index per occurrence
+  sp.clauses.resize(shipped.size());
+  for (std::size_t k = 0; k < shipped.size(); ++k) {
+    const auto lits = arena_.lits(shipped[k]);
+    sp.clauses[k].reserve(lits.size());
+    for (const Lit l : lits) {
+      holder[first[l.code()]++] = static_cast<std::uint32_t>(k);
+    }
+  }
+  // first[c] is now the end of code c's bucket.
+  std::size_t i = 0;
+  for (std::uint32_t c = 0; c + 1 < first.size(); ++c) {
+    for (; i < first[c]; ++i) sp.clauses[holder[i]].push_back(Lit::from_code(c));
+  }
   return sp;
 }
 

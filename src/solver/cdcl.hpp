@@ -27,6 +27,7 @@
 #include <functional>
 #include <limits>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -142,8 +143,8 @@ struct SolverConfig {
   /// Locality-aware arena compaction on reduce_db(): rewrite survivors in
   /// watcher-traversal order (problem clauses first, then learned, glue
   /// first) instead of preserving allocation order, so late-run watcher
-  /// scans stay cache-resident. Falls back to in-place gc() under memory
-  /// pressure (the ordered rewrite transiently doubles the footprint).
+  /// scans stay cache-resident. Falls back to allocation-order gc()
+  /// under memory pressure (no order vector, no sort).
   bool arena_compact = true;
 
   /// Propagate binary clauses from a dedicated implication store instead
@@ -452,20 +453,29 @@ class CdclSolver {
   void attach(ClauseRef cref);
   void detach(ClauseRef cref);
   /// Add a clause at level 0 with standard preprocessing (dedupe,
-  /// tautology skip, satisfied skip, untainted-false-literal drop).
-  /// Returns false when the clause (with propagation pending) refutes
-  /// the subproblem.
+  /// tautology skip, satisfied skip, untainted-false-literal drop) and
+  /// attach it. Returns false when the clause (with propagation pending)
+  /// refutes the subproblem.
   /// `new_ref` (optional) receives the allocated clause ref, or kNoClause
   /// when the clause was pruned, became a unit, or conflicted.
-  bool add_clause_at_level0(const cnf::Clause& clause, bool learned,
+  bool add_clause_at_level0(std::span<const cnf::Lit> clause, bool learned,
                             ClauseRef* new_ref = nullptr);
+  /// add_clause_at_level0() without the attach: stores the clause sorted,
+  /// open literals first, and leaves its watches to the caller. Sorts
+  /// only input that is not already ascending, and allocates nothing
+  /// beyond the arena once its scratch buffers are warm.
+  bool load_clause_at_level0(std::span<const cnf::Lit> clause, bool learned,
+                             ClauseRef& new_ref);
+  /// Attach every clause in the arena, in arena order, with each watch
+  /// list reserved once: the bulk half of init().
+  void attach_all();
 
   // Maintenance.
   void reduce_db();
   void drop_all_learned();       ///< emergency memory escalation
   bool merge_imports();          ///< at level 0; false => UNSAT
   bool simplify_at_level0();     ///< prune + strip; false => UNSAT
-  /// In-place arena compaction (order-preserving). Safe at any decision
+  /// Arena compaction (order-preserving). Safe at any decision
   /// level: the remap rewrites both watch stores and the reason of every
   /// trail literal, and backtrack() clears reasons of unassigned
   /// variables, so no stale ref survives. reduce_db() relies on this
@@ -570,6 +580,11 @@ class CdclSolver {
   std::uint64_t min_epoch_ = 0;
   std::vector<cnf::Lit> min_stack_;  ///< DFS worklist of pending pivots
   std::vector<cnf::Var> min_clear_;  ///< vars marked during this minimize()
+
+  // Level-0 loading scratch (load_clause_at_level0).
+  std::vector<cnf::Lit> load_sorted_;  ///< sorted copy of unsorted input
+  std::vector<cnf::Lit> load_open_;    ///< open literals, then the kept false
+  std::vector<cnf::Lit> load_false_;   ///< tainted-false literals
 
   /// Per-literal stamps for strengthen_binary(): literal code C is in the
   /// learned clause iff lit_stamp_[C] == lit_stamp_counter_.

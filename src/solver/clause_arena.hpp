@@ -23,11 +23,15 @@
 // the next compaction.
 //
 // Deletion marks the clause and counts its bytes as garbage. Compaction
-// rewrites all external references through a remap table and is safe at
-// any decision level (the solver remaps watch lists and every trail
-// reason). Two flavors: gc() compacts in place preserving allocation
-// order; gc_ordered() rebuilds the arena in a caller-chosen order (the
-// locality pass reduce_db() uses to keep hot clauses adjacent).
+// copies the live clauses into a fresh, exactly sized buffer and rewrites
+// all external references through a remap; it is safe at any decision
+// level (the solver remaps watch lists and every trail reason). Two
+// flavors: gc() preserves allocation order; gc_ordered() lays the clauses
+// out in a caller-chosen order (the locality pass reduce_db() uses to
+// keep hot clauses adjacent). The old buffer becomes the remap: each
+// moved clause's old activity word holds its new ref (a forwarding
+// address, as in MiniSat's relocation), so a lookup is one load and the
+// remap costs no memory beyond the buffer being replaced.
 // Live-byte accounting feeds the GridSAT client's memory monitor.
 #pragma once
 
@@ -183,78 +187,64 @@ class ClauseArena {
     }
   }
 
-  /// Old-ref -> new-ref table produced by gc(). Deleted refs map to
-  /// kNoClause; the sentinel reasons map to themselves.
+  /// Old-ref -> new-ref map produced by a compaction: the pre-compaction
+  /// buffer, with each live clause's activity word overwritten by its new
+  /// ref. Deleted refs map to kNoClause; the sentinel reasons map to
+  /// themselves. O(1) per lookup.
   class Remap {
    public:
     [[nodiscard]] ClauseRef operator()(ClauseRef old_ref) const {
       if (old_ref == kNoClause || old_ref == kDecisionReason) return old_ref;
-      const auto it = std::lower_bound(
-          pairs_.begin(), pairs_.end(), old_ref,
-          [](const auto& p, ClauseRef key) { return p.first < key; });
-      if (it == pairs_.end() || it->first != old_ref) return kNoClause;
-      return it->second;
+      assert(old_ref < old_.size() && (old_[old_ref] & 4u) == 0);
+      return (old_[old_ref] & 2u) != 0 ? kNoClause : old_[old_ref + 1];
     }
 
    private:
     friend class ClauseArena;
-    std::vector<std::pair<ClauseRef, ClauseRef>> pairs_;  // sorted by first
+    std::vector<std::uint32_t> old_;
   };
 
-  /// Compact the arena in place, preserving allocation order; callers
-  /// rewrite watch lists and reasons through the returned remap.
+  /// Compact the arena, preserving allocation order; callers rewrite
+  /// watch lists and reasons through the returned remap.
   Remap gc() {
-    Remap remap;
-    remap.pairs_.reserve(num_learned_ + num_problem_);
-    std::size_t write = 0;
-    ClauseRef r = 0;
-    while (r < data_.size()) {
-      if (data_[r] & 4u) {  // strengthening pad: dropped by compaction
-        ++r;
-        continue;
-      }
-      const std::uint32_t words = kHeaderWords + size(r);
-      if (!deleted(r)) {
-        remap.pairs_.emplace_back(r, static_cast<ClauseRef>(write));
-        if (write != r) {
-          std::memmove(&data_[write], &data_[r], words * sizeof(std::uint32_t));
-        }
-        write += words;
-      }
-      r += words;
-    }
-    data_.resize(write);
-    data_.shrink_to_fit();
-    garbage_words_ = 0;
-    return remap;
+    std::vector<std::uint32_t> fresh;
+    fresh.reserve(live_words_);
+    for_each([&](ClauseRef r) { relocate(r, fresh); });
+    return install(std::move(fresh));
   }
 
-  /// Rebuild the arena with the live clauses laid out in the caller-given
+  /// Compact the arena with the live clauses laid out in the caller-given
   /// order (the locality pass: problem clauses first, then learned by
-  /// glue). `order` must list every live clause exactly once. Unlike
-  /// gc(), this builds a fresh buffer (transiently ~2x the live bytes),
-  /// so callers under memory pressure should prefer gc().
+  /// glue). `order` must list every live clause exactly once.
   Remap gc_ordered(std::span<const ClauseRef> order) {
-    Remap remap;
-    remap.pairs_.reserve(order.size());
     std::vector<std::uint32_t> fresh;
     fresh.reserve(live_words_);
     for (const ClauseRef r : order) {
       assert(!deleted(r) && (data_[r] & 4u) == 0);
-      const std::uint32_t words = kHeaderWords + size(r);
-      remap.pairs_.emplace_back(r, static_cast<ClauseRef>(fresh.size()));
-      fresh.insert(fresh.end(), data_.begin() + r, data_.begin() + r + words);
+      relocate(r, fresh);
     }
-    assert(fresh.size() == live_words_ && "order must cover every live clause");
-    data_ = std::move(fresh);
-    garbage_words_ = 0;
-    // Remap lookup binary-searches by old ref; order is caller-chosen, so
-    // re-sort the pairs by their old ref.
-    std::sort(remap.pairs_.begin(), remap.pairs_.end());
-    return remap;
+    return install(std::move(fresh));
   }
 
  private:
+  /// Append clause r to `fresh` and leave its new ref in its old activity
+  /// word (the activity travelled with the copy).
+  void relocate(ClauseRef r, std::vector<std::uint32_t>& fresh) {
+    const std::uint32_t words = kHeaderWords + size(r);
+    const auto at = static_cast<ClauseRef>(fresh.size());
+    fresh.insert(fresh.end(), data_.begin() + r, data_.begin() + r + words);
+    data_[r + 1] = at;
+  }
+
+  /// Swap in the compacted buffer; the old one becomes the remap.
+  Remap install(std::vector<std::uint32_t>&& fresh) {
+    assert(fresh.size() == live_words_ && "compaction must keep every live clause");
+    Remap remap;
+    remap.old_ = std::exchange(data_, std::move(fresh));
+    garbage_words_ = 0;
+    return remap;
+  }
+
   static std::uint32_t float_bits(float f) {
     std::uint32_t b;
     static_assert(sizeof b == sizeof f);

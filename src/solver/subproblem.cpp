@@ -35,6 +35,10 @@ Subproblem Subproblem::deserialize(util::ByteReader& in) {
   }
   Subproblem sp;
   sp.num_vars = in.u32();
+  // A literal over a variable beyond num_vars would reach the solver as a
+  // spurious refutation (a unit) or be dropped from its clause, which
+  // strengthens it unsoundly; reject it here.
+  const std::uint64_t max_code = cnf::max_lit_code(sp.num_vars);
   const std::uint64_t num_units = in.var_u64();
   if (num_units > in.remaining()) {
     throw util::DecodeError("unit count exceeds buffer");
@@ -42,7 +46,7 @@ Subproblem Subproblem::deserialize(util::ByteReader& in) {
   sp.units.reserve(num_units);
   for (std::uint64_t i = 0; i < num_units; ++i) {
     const std::uint64_t code = in.var_u64();
-    if (code < 2 || code > UINT32_MAX) {
+    if (code < 2 || code > max_code) {
       throw util::DecodeError("unit literal code out of range");
     }
     SubproblemUnit u;
@@ -55,17 +59,17 @@ Subproblem Subproblem::deserialize(util::ByteReader& in) {
       sp.units[i + b].tainted = ((byte >> b) & 1u) != 0;
     }
   }
-  cnf::decode_lit_array(in, sp.assumptions);
+  cnf::decode_lit_array(in, sp.assumptions, max_code);
   sp.path = in.str();
   sp.base_fingerprint = in.u64();
   if ((flags & detail::kSubproblemFlagBaseRef) != 0) {
     sp.needs_base = true;
     sp.num_problem_clauses = 0;
   } else {
-    cnf::decode_clause_stream(in, sp.clauses);
+    cnf::decode_clause_stream(in, sp.clauses, max_code);
     sp.num_problem_clauses = sp.clauses.size();
   }
-  cnf::decode_clause_stream(in, sp.clauses);
+  cnf::decode_clause_stream(in, sp.clauses, max_code);
   return sp;
 }
 

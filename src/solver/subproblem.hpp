@@ -92,7 +92,10 @@ struct Subproblem {
   /// clauses plus the learned clauses the splitting client passes along.
   /// All are valid for the original formula. The first
   /// `num_problem_clauses` entries are problem clauses (never deleted by
-  /// DB reduction); the rest are learned and reducible.
+  /// DB reduction); the rest are learned and reducible. Split children
+  /// and decoded payloads hold each clause in canonical order (literals
+  /// ascending), which lets sizing and loading skip their sorts; any
+  /// order is still accepted.
   std::vector<cnf::Clause> clauses;
   std::uint64_t num_problem_clauses = 0;
   /// The *pure* guiding-path assumptions: the split decisions themselves,
@@ -195,14 +198,9 @@ struct Subproblem {
       std::span<const ClauseRef> problem_refs,
       std::span<const ClauseRef> learned_refs) {
     const auto stream = [&arena](W& w, std::span<const ClauseRef> refs) {
-      cnf::encode_clause_stream(
-          w, refs.size(),
-          [&](std::uint32_t i) { return arena.size(refs[i]); },
-          [&](std::uint32_t i, std::vector<std::uint32_t>& codes) {
-            for (const cnf::Lit l : arena.lits(refs[i])) {
-              codes.push_back(l.code());
-            }
-          });
+      cnf::encode_clause_stream(w, refs.size(), [&](std::size_t i) {
+        return arena.lits(refs[i]);
+      });
     };
     detail::serialize_subproblem_parts(
         out, num_vars, units, assumptions, path, base_fingerprint, mode,

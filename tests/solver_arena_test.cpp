@@ -3,9 +3,11 @@
 // storage, and iteration.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "solver/clause_arena.hpp"
+#include "util/rng.hpp"
 
 namespace gridsat::solver {
 namespace {
@@ -189,7 +191,7 @@ TEST(ClauseArenaTest, GcOrderedRewritesInCallerOrder) {
   EXPECT_TRUE(arena.learned(remap(c)));
   EXPECT_FALSE(arena.learned(remap(d)));
   // The remap stays queryable by old ref even though the caller's order
-  // was not address order (lookup re-sorts internally).
+  // was not address order (it is keyed by old address).
   EXPECT_EQ(remap(kNoClause), kNoClause);
   std::vector<ClauseRef> seen;
   arena.for_each([&](ClauseRef r) { seen.push_back(r); });
@@ -218,6 +220,102 @@ TEST(ClauseArenaTest, CountsTrackLearnedAndProblem) {
   EXPECT_EQ(arena.num_problem(), 1u);
   arena.free(a);
   EXPECT_EQ(arena.num_learned(), 1u);
+}
+
+/// One arena clause as a test expects to find it after a compaction.
+struct ClauseImage {
+  std::vector<Lit> lits;
+  bool learned = false;
+  float activity = 0.0f;
+  std::uint32_t lbd = 0;
+
+  friend bool operator==(const ClauseImage&, const ClauseImage&) = default;
+};
+
+ClauseImage image_of(const ClauseArena& arena, ClauseRef r) {
+  const auto ls = arena.lits(r);
+  return {{ls.begin(), ls.end()}, arena.learned(r), arena.activity(r),
+          arena.lbd(r)};
+}
+
+/// An arena of 60 clauses of 2..9 literals: every third is deleted, and
+/// every fourth that has >= 3 literals is strengthened first, leaving a
+/// pad word (deleted ones included). Returns the live and deleted refs.
+void build_mixed_arena(ClauseArena& arena, std::uint64_t seed,
+                       std::vector<ClauseRef>& live,
+                       std::vector<ClauseRef>& deleted) {
+  util::Xoshiro256 rng(seed);
+  for (int k = 0; k < 60; ++k) {
+    const std::size_t size = 2 + rng.below(8);
+    std::vector<Lit> c;
+    for (std::size_t i = 0; i < size; ++i) {
+      c.push_back(Lit::from_code(2 + static_cast<std::uint32_t>(rng.below(200))));
+    }
+    const ClauseRef r = arena.alloc(c, /*learned=*/k % 2 == 1);
+    arena.set_activity(r, static_cast<float>(k) * 0.5f);
+    arena.set_lbd(r, static_cast<std::uint32_t>(1 + k % 5));
+    if (k % 4 == 0 && size >= 3) arena.remove_lit(r, 1);
+    if (k % 3 == 0) {
+      arena.free(r);
+      deleted.push_back(r);
+    } else {
+      live.push_back(r);
+    }
+  }
+}
+
+/// Checks a compaction's remap against the images taken before it: each
+/// live ref maps to its clause, laid out back to back in `layout` order;
+/// each deleted ref maps to kNoClause; the sentinels map to themselves.
+void expect_exact_remap(const ClauseArena& arena, const ClauseArena::Remap& remap,
+                        const std::vector<ClauseRef>& layout,
+                        const std::vector<ClauseImage>& before,
+                        const std::vector<ClauseRef>& deleted) {
+  ClauseRef expected = 0;
+  for (std::size_t i = 0; i < layout.size(); ++i) {
+    const ClauseRef now = remap(layout[i]);
+    EXPECT_EQ(now, expected) << "old ref " << layout[i];
+    EXPECT_EQ(image_of(arena, now), before[i]) << "old ref " << layout[i];
+    expected += ClauseArena::kHeaderWords +
+                static_cast<ClauseRef>(before[i].lits.size());
+  }
+  EXPECT_EQ(arena.total_bytes(), expected * sizeof(std::uint32_t));
+  EXPECT_EQ(arena.garbage_bytes(), 0u);
+  for (const ClauseRef r : deleted) EXPECT_EQ(remap(r), kNoClause) << r;
+  EXPECT_EQ(remap(kNoClause), kNoClause);
+  EXPECT_EQ(remap(kDecisionReason), kDecisionReason);
+}
+
+TEST(ClauseArenaRemapTest, GcMapsEveryRefOverDeletionsAndPads) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    ClauseArena arena;
+    std::vector<ClauseRef> live;
+    std::vector<ClauseRef> deleted;
+    build_mixed_arena(arena, seed, live, deleted);
+    std::vector<ClauseImage> before;
+    for (const ClauseRef r : live) before.push_back(image_of(arena, r));
+    const auto remap = arena.gc();
+    expect_exact_remap(arena, remap, live, before, deleted);
+  }
+}
+
+TEST(ClauseArenaRemapTest, GcOrderedMapsEveryRefOverDeletionsAndPads) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    ClauseArena arena;
+    std::vector<ClauseRef> live;
+    std::vector<ClauseRef> deleted;
+    build_mixed_arena(arena, seed, live, deleted);
+    // A caller-chosen layout that is not address order.
+    std::vector<ClauseRef> order = live;
+    util::Xoshiro256 rng(seed + 100);
+    for (std::size_t i = order.size(); i > 1; --i) {
+      std::swap(order[i - 1], order[rng.below(i)]);
+    }
+    std::vector<ClauseImage> before;
+    for (const ClauseRef r : order) before.push_back(image_of(arena, r));
+    const auto remap = arena.gc_ordered(order);
+    expect_exact_remap(arena, remap, order, before, deleted);
+  }
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 #include "gen/xor_chains.hpp"
 #include "solver/brute_force.hpp"
 #include "solver/cdcl.hpp"
+#include "util/rng.hpp"
 
 namespace gridsat::solver {
 namespace {
@@ -322,6 +323,58 @@ TEST(MigrationTest, MigratedStateKeepsLearnedClauses) {
   const Subproblem snapshot = source.to_subproblem();
   EXPECT_GT(snapshot.clauses.size(), snapshot.num_problem_clauses)
       << "learned clauses should ride along in a migration";
+}
+
+/// True when every clause lists its literals strictly ascending: the
+/// canonical order split() ships (arena clauses hold no duplicates).
+bool strictly_ascending(const Subproblem& sp) {
+  for (const cnf::Clause& c : sp.clauses) {
+    for (std::size_t i = 1; i < c.size(); ++i) {
+      if (!(c[i - 1] < c[i])) return false;
+    }
+  }
+  return true;
+}
+
+TEST(RehydrationTest, SplitShipsEveryClauseInCanonicalOrder) {
+  const CnfFormula f = gen::pigeonhole_unsat(7);
+  CdclSolver donor(f);
+  for (int split = 0; split < 5; ++split) {
+    auto child = advance_and_split(donor, 2'000);
+    ASSERT_TRUE(child.has_value()) << "split " << split;
+    EXPECT_TRUE(strictly_ascending(*child)) << "split " << split;
+  }
+  EXPECT_TRUE(strictly_ascending(donor.to_subproblem()));
+}
+
+TEST(RehydrationTest, LoadDoesNotDependOnLiteralOrder) {
+  const CnfFormula f = gen::pigeonhole_unsat(7);
+  CdclSolver donor(f);
+  const auto child = advance_and_split(donor, 20'000);
+  ASSERT_TRUE(child.has_value());
+  ASSERT_GT(child->clauses.size(), child->num_problem_clauses)
+      << "the child should carry learned clauses";
+  // The same clauses, each shuffled, and one carrying a duplicate literal.
+  Subproblem scrambled = *child;
+  util::Xoshiro256 rng(15);
+  for (cnf::Clause& c : scrambled.clauses) {
+    for (std::size_t i = c.size(); i > 1; --i) {
+      std::swap(c[i - 1], c[rng.below(i)]);
+    }
+  }
+  cnf::Clause& last = scrambled.clauses.back();
+  last.insert(last.begin() + static_cast<std::ptrdiff_t>(rng.below(last.size())),
+              last.back());
+  ASSERT_NE(scrambled.clauses, child->clauses);
+
+  CdclSolver canonical(*child);
+  CdclSolver shuffled(scrambled);
+  EXPECT_EQ(canonical.solve(300'000), shuffled.solve(300'000));
+  EXPECT_GT(canonical.stats().conflicts, 0u);
+  EXPECT_EQ(canonical.stats().decisions, shuffled.stats().decisions);
+  EXPECT_EQ(canonical.stats().propagations, shuffled.stats().propagations);
+  EXPECT_EQ(canonical.stats().conflicts, shuffled.stats().conflicts);
+  EXPECT_EQ(canonical.to_subproblem(), shuffled.to_subproblem());
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 // renegotiation / incremental-checkpoint behaviours.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <span>
 #include <string>
 #include <vector>
@@ -257,6 +259,133 @@ TEST(WireArenaTest, SerializeFromArenaIsByteIdentical) {
           sp.base_fingerprint, mode, arena, problem_refs, learned_refs);
       EXPECT_EQ(out.take(), sp.to_bytes(mode)) << "round " << round;
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Encoder property: the counting-sort encoder against the stable_sort
+// reference it replaced, over both writers.
+// ---------------------------------------------------------------------------
+
+/// The reference clause-stream encoder: stable_sort the clause indices by
+/// length, then sort every clause's literal codes before writing it.
+template <class W>
+void reference_encode_clause_stream(W& out, std::span<const cnf::Clause> clauses) {
+  out.var_u64(clauses.size());
+  std::vector<std::size_t> order(clauses.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return clauses[a].size() < clauses[b].size();
+  });
+  std::size_t i = 0;
+  while (i < order.size()) {
+    const std::size_t len = clauses[order[i]].size();
+    if (len == 0) throw util::DecodeError("cannot encode an empty clause");
+    std::size_t j = i + 1;
+    while (j < order.size() && clauses[order[j]].size() == len) ++j;
+    out.var_u64(len);
+    out.var_u64(j - i);
+    for (; i < j; ++i) {
+      std::vector<std::uint32_t> codes;
+      for (const Lit l : clauses[order[i]]) codes.push_back(l.code());
+      std::sort(codes.begin(), codes.end());
+      out.var_u64(codes[0]);
+      for (std::size_t k = 1; k < codes.size(); ++k) {
+        out.var_u64(codes[k] - codes[k - 1]);
+      }
+    }
+  }
+}
+
+TEST(WireEncoderTest, CountingSortEncoderMatchesStableSortReference) {
+  util::Xoshiro256 rng(1515);
+  // Lengths with gaps between them, so runs are not contiguous lengths.
+  const std::size_t lengths[] = {1, 2, 3, 5, 9, 17, 40};
+  for (int round = 0; round < 100; ++round) {
+    std::vector<cnf::Clause> clauses;
+    const std::size_t count = rng.below(60);
+    for (std::size_t c = 0; c < count; ++c) {
+      cnf::Clause clause;
+      const std::size_t len = lengths[rng.below(std::size(lengths))];
+      for (std::size_t k = 0; k < len; ++k) {
+        clause.push_back(Lit::from_code(2 + static_cast<std::uint32_t>(
+                                                rng.below(round % 2 ? 300 : 30))));
+      }
+      // Half the clauses arrive canonical, the rest in arbitrary order
+      // (with duplicates when the code range is small).
+      if (rng.below(2) == 0) std::sort(clause.begin(), clause.end());
+      clauses.push_back(std::move(clause));
+    }
+    if (round % 10 == 0) {
+      cnf::Clause huge;
+      for (std::uint32_t k = 0; k < 1000; ++k) {
+        huge.push_back(Lit::from_code(2 + (k * 7919u) % 5000u));
+      }
+      clauses.insert(clauses.begin() + static_cast<std::ptrdiff_t>(
+                                           rng.below(clauses.size() + 1)),
+                     std::move(huge));
+    }
+    const std::span<const cnf::Clause> all(clauses);
+    util::ByteWriter got;
+    util::ByteWriter want;
+    cnf::encode_clause_stream(got, all);
+    reference_encode_clause_stream(want, all);
+    const std::vector<std::uint8_t> bytes = want.take();
+    EXPECT_EQ(got.take(), bytes) << "round " << round;
+    util::ByteCounter counter;
+    cnf::encode_clause_stream(counter, all);
+    EXPECT_EQ(counter.size(), bytes.size()) << "round " << round;
+  }
+}
+
+TEST(WireEncoderTest, EmptyClauseThrowsOnBothWriters) {
+  const std::vector<cnf::Clause> clauses = {{Lit(1, false), Lit(2, true)}, {}};
+  const std::span<const cnf::Clause> all(clauses);
+  util::ByteWriter writer;
+  EXPECT_THROW(cnf::encode_clause_stream(writer, all), util::DecodeError);
+  util::ByteCounter counter;
+  EXPECT_THROW(cnf::encode_clause_stream(counter, all), util::DecodeError);
+}
+
+// ---------------------------------------------------------------------------
+// Decode-time literal range: a payload may only name variables
+// 1..num_vars, in every section.
+// ---------------------------------------------------------------------------
+
+TEST(SubproblemDecodeTest, AcceptsLiteralsUpToNumVars) {
+  solver::Subproblem sp = golden_subproblem();
+  const Lit top(sp.num_vars, true);  // the largest legal code
+  sp.units.push_back({top, false});
+  sp.assumptions.push_back(top);
+  sp.clauses.back().push_back(top);
+  EXPECT_NO_THROW(solver::Subproblem::from_bytes(sp.to_bytes()));
+}
+
+TEST(SubproblemDecodeTest, RejectsUnitBeyondNumVars) {
+  solver::Subproblem sp = golden_subproblem();
+  sp.units.push_back({Lit(sp.num_vars + 1, false), false});
+  EXPECT_THROW(solver::Subproblem::from_bytes(sp.to_bytes()), util::DecodeError);
+}
+
+TEST(SubproblemDecodeTest, RejectsAssumptionBeyondNumVars) {
+  solver::Subproblem sp = golden_subproblem();
+  sp.assumptions.push_back(Lit(sp.num_vars + 1, true));
+  EXPECT_THROW(solver::Subproblem::from_bytes(sp.to_bytes()), util::DecodeError);
+}
+
+TEST(SubproblemDecodeTest, RejectsClauseLiteralBeyondNumVars) {
+  // In the problem block.
+  solver::Subproblem problem = golden_subproblem();
+  problem.clauses[0].push_back(Lit(problem.num_vars + 1, false));
+  EXPECT_THROW(solver::Subproblem::from_bytes(problem.to_bytes()),
+               util::DecodeError);
+  // In the learned block, which both wire forms carry.
+  for (const auto mode : {solver::WireMode::kFull, solver::WireMode::kBaseRef}) {
+    solver::Subproblem learned = golden_subproblem();
+    learned.clauses.back().push_back(Lit(learned.num_vars + 3, true));
+    EXPECT_THROW(solver::Subproblem::from_bytes(learned.to_bytes(mode)),
+                 util::DecodeError)
+        << "mode " << static_cast<int>(mode);
   }
 }
 
