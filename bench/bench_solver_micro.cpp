@@ -3,18 +3,14 @@
 //     of the DPLL baseline ("BCP accounts for ... more than 90% of
 //     execution time");
 //   * VSIDS versus random decisions;
-//   * learned-clause minimization on/off;
 //   * the decay-schedule variants (smooth MiniSat-style vs coarse
 //     zChaff-style halving);
-//   * the binary-clause fast path on/off (BCP microarchitecture,
-//     DESIGN.md);
 //   * instance generation and DIMACS round-trip throughput.
 //
 // Besides the google-benchmark suite, `--baseline` runs a reproducible
-// fixed-work propagation-throughput comparison (binary fast path on vs
-// off) and writes machine-readable rows to a JSON file (default
-// BENCH_solver.json) — the perf-trajectory baseline every perf PR
-// regresses against (ROADMAP.md):
+// fixed-work propagation-throughput measurement and writes machine-
+// readable rows to a JSON file (default BENCH_solver.json) — the
+// perf-trajectory baseline every perf PR regresses against (ROADMAP.md):
 //
 //   ./bench_solver_micro --baseline [--json=BENCH_solver.json] [--quick]
 #include <benchmark/benchmark.h>
@@ -22,10 +18,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cmath>
-#include <iterator>
 #include <random>
-#include <sstream>
 #include <string_view>
 
 #include "cnf/dimacs.hpp"
@@ -96,20 +89,6 @@ BENCHMARK(BM_VsidsVsRandomDecisions)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
-void BM_MinimizationToggle(benchmark::State& state) {
-  const bool minimize = state.range(0) != 0;
-  const auto f = gen::pigeonhole_unsat(8);
-  for (auto _ : state) {
-    solver::SolverConfig config;
-    config.minimize_learned = minimize;
-    solver::CdclSolver solver(f, config);
-    benchmark::DoNotOptimize(solver.solve());
-    state.counters["learned_lits"] =
-        static_cast<double>(solver.stats().learned_literals);
-  }
-}
-BENCHMARK(BM_MinimizationToggle)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
 void BM_DecaySchedule(benchmark::State& state) {
   // 0: smooth (interval 1, decay 0.95); 1: zChaff-style coarse halving
   // (interval 256, decay 0.5).
@@ -125,29 +104,6 @@ void BM_DecaySchedule(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DecaySchedule)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
-void BM_BinaryFastPathToggle(benchmark::State& state) {
-  // The tentpole ablation: identical fixed-work search with the binary
-  // store on (arg 1) vs every clause through the general watchers (arg 0).
-  const bool fast = state.range(1) != 0;
-  const auto f = gen::pigeonhole_unsat(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    solver::SolverConfig config;
-    config.binary_fast_path = fast;
-    solver::CdclSolver solver(f, config);
-    benchmark::DoNotOptimize(solver.solve(2'000'000));
-    state.counters["props"] = static_cast<double>(solver.stats().propagations);
-    state.counters["bin_props"] =
-        static_cast<double>(solver.stats().binary_propagations);
-  }
-  state.SetItemsProcessed(state.iterations() * 2'000'000);
-}
-BENCHMARK(BM_BinaryFastPathToggle)
-    ->Args({9, 0})
-    ->Args({9, 1})
-    ->Args({10, 0})
-    ->Args({10, 1})
-    ->Unit(benchmark::kMillisecond);
 
 void BM_GenerateRandomKsat(benchmark::State& state) {
   for (auto _ : state) {
@@ -166,15 +122,13 @@ void BM_DimacsRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_DimacsRoundTrip)->Unit(benchmark::kMillisecond);
 
-// --- Reproducible baseline: BCP throughput, fast path on/off --------------
+// --- Reproducible baseline: BCP throughput --------------------------------
 //
-// Two measurements per instance and config:
+// Two measurements per instance:
 //
-//  * bcp-probe (primary, drives the speedup figures): a fixed rotation of
-//    probe_assume() decisions propagated to fixpoint with no clause
-//    learning. Both configs process identical implication traffic, so the
-//    props/s ratio isolates the propagation machinery itself — the
-//    standard way to benchmark BCP.
+//  * bcp-probe (primary): a fixed rotation of probe_assume() decisions
+//    propagated to fixpoint with no clause learning, so props/s isolates
+//    the propagation machinery itself — the standard way to benchmark BCP.
 //  * full-solve: a real budgeted solve; status/work/props recorded for
 //    the end-to-end trajectory, props/s over time spent in propagate().
 
@@ -219,55 +173,32 @@ std::vector<cnf::Clause> amo_groups(cnf::Var nv, int groups, int group_size,
 struct BaselineRow {
   std::string instance;
   std::string measurement;  ///< "bcp-probe" or "full-solve"
-  bool binary_fast_path = false;
-  bool minimize_learned = false;
-  std::string minimize;  ///< "off" or "recursive"
   std::string status;
   std::uint64_t work = 0;
   std::uint64_t propagations = 0;
   std::uint64_t binary_propagations = 0;
-  std::uint64_t conflicts = 0;
-  std::uint64_t learned_literals = 0;
   double wall_ms = 0.0;
   double propagation_ms = 0.0;
   double props_per_sec = 0.0;  ///< propagations per second of BCP time
 };
 
-/// The learned-clause minimization tiers of the --minimize flag and the
-/// minimize_ablation rows. "recursive" is the shipping default and
-/// includes binary-resolution strengthening; "off" is the paper-era
-/// baseline.
-solver::SolverConfig minimize_mode_config(std::string_view mode) {
-  solver::SolverConfig config;
-  config.minimize_learned = mode != "off";
-  return config;
-}
-
-bool valid_minimize_mode(std::string_view mode) {
-  return mode == "off" || mode == "recursive";
-}
-
-/// One timed probe shot. The round COUNT is fixed up front (derived only
-/// from the props target and instance size) so both configs replay the
-/// identical decision sequence: propagation fixpoints are config-
-/// independent, so per-round traffic matches and per-round bookkeeping
-/// (assume loop, backtrack walk) cancels in the ratio. A props-target
-/// loop would instead penalise whichever config detects conflicts
-/// earlier.
 double median_of(std::vector<double> v) {
   std::sort(v.begin(), v.end());
   const std::size_t n = v.size();
   return (n % 2 != 0) ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
 }
 
-/// Aggregate repeated shots of one (instance, measurement, config) cell.
-/// Search statistics are deterministic across repeats — only the clock
-/// readings vary — so the aggregate keeps the first shot's counters and
-/// takes the MEDIAN of each timing field. The previous min-of-repeats
-/// policy was noise-seeking: on a loaded machine the min of one config
-/// could land in a quiet window while the other config's shots all hit
-/// load spikes, which is how the committed baseline once showed sub-1.0
-/// "speedups" for a strictly-less-work configuration.
+double props_per_sec(std::uint64_t propagations, double propagation_ms) {
+  return propagation_ms > 0.0
+             ? static_cast<double>(propagations) * 1000.0 / propagation_ms
+             : 0.0;
+}
+
+/// Aggregate repeated shots of one (instance, measurement) cell. Search
+/// statistics are deterministic across repeats — only the clock readings
+/// vary — so the aggregate keeps the first shot's counters and takes the
+/// MEDIAN of each timing field: a min-of-repeats policy is noise-seeking,
+/// since one quiet window on a loaded machine sets the figure.
 BaselineRow median_row(const std::vector<BaselineRow>& shots) {
   BaselineRow row = shots.front();
   std::vector<double> wall;
@@ -280,26 +211,26 @@ BaselineRow median_row(const std::vector<BaselineRow>& shots) {
   }
   row.wall_ms = median_of(std::move(wall));
   row.propagation_ms = median_of(std::move(bcp));
-  row.props_per_sec = row.propagation_ms > 0.0
-                          ? static_cast<double>(row.propagations) * 1000.0 /
-                                row.propagation_ms
-                          : 0.0;
+  row.props_per_sec = props_per_sec(row.propagations, row.propagation_ms);
   return row;
 }
 
+/// One timed probe shot. The round COUNT is fixed up front (derived only
+/// from the props target and instance size), so every shot — and every
+/// build compared against this one — replays the identical decision
+/// sequence. A props-target loop would instead reward whichever build
+/// detects conflicts earlier.
 BaselineRow probe_once(const BaselineCase& c, const cnf::CnfFormula& f,
-                       bool fast, std::uint64_t rounds) {
+                       std::uint64_t rounds) {
   BaselineRow row;
   row.instance = c.name;
   row.measurement = "bcp-probe";
-  row.binary_fast_path = fast;
   row.status = "PROBE";
   solver::SolverConfig config;
-  config.binary_fast_path = fast;
   // Rate over time inside propagate() itself (one clock pair per
   // decision — noise floor at these instance sizes), so the probe
-  // bookkeeping (assume loop, conflict backtracks, heap reinserts),
-  // which is identical for both configs, can't dilute the ratio.
+  // bookkeeping (assume loop, conflict backtracks, heap reinserts) does
+  // not dilute it.
   config.measure_propagation = true;
   solver::CdclSolver solver(f, config);
   const cnf::Var nv = f.num_vars();
@@ -323,26 +254,18 @@ BaselineRow probe_once(const BaselineCase& c, const cnf::CnfFormula& f,
   row.binary_propagations = solver.stats().binary_propagations;
   row.propagation_ms =
       static_cast<double>(solver.stats().propagation_ns) * 1e-6;
-  row.props_per_sec = row.propagation_ms > 0.0
-                          ? static_cast<double>(row.propagations) * 1000.0 /
-                                row.propagation_ms
-                          : 0.0;
+  row.props_per_sec = props_per_sec(row.propagations, row.propagation_ms);
   return row;
 }
 
-/// One timed budgeted solve. Deterministic: every shot of a config
-/// produces identical search statistics; only the timings vary.
+/// One timed budgeted solve. Deterministic: every shot produces identical
+/// search statistics; only the timings vary.
 BaselineRow solve_once(const BaselineCase& c, const cnf::CnfFormula& f,
-                       bool fast, std::string_view minimize,
                        std::uint64_t budget) {
   BaselineRow row;
   row.instance = c.name;
   row.measurement = "full-solve";
-  row.binary_fast_path = fast;
-  row.minimize = minimize;
-  solver::SolverConfig config = minimize_mode_config(minimize);
-  row.minimize_learned = config.minimize_learned;
-  config.binary_fast_path = fast;
+  solver::SolverConfig config;
   config.measure_propagation = true;
   solver::CdclSolver solver(f, config);
   const auto start = std::chrono::steady_clock::now();
@@ -354,16 +277,11 @@ BaselineRow solve_once(const BaselineCase& c, const cnf::CnfFormula& f,
   row.work = solver.stats().work;
   row.propagations = solver.stats().propagations;
   row.binary_propagations = solver.stats().binary_propagations;
-  row.conflicts = solver.stats().conflicts;
-  row.learned_literals = solver.stats().learned_literals;
   row.propagation_ms =
       static_cast<double>(solver.stats().propagation_ns) * 1e-6;
-  // Throughput over time spent in propagate() itself: the quantity the
-  // BCP overhaul targets, undiluted by conflict analysis and heap work.
-  row.props_per_sec = row.propagation_ms > 0.0
-                          ? static_cast<double>(row.propagations) * 1000.0 /
-                                row.propagation_ms
-                          : 0.0;
+  // Throughput over time spent in propagate() itself, undiluted by
+  // conflict analysis and heap work.
+  row.props_per_sec = props_per_sec(row.propagations, row.propagation_ms);
   return row;
 }
 
@@ -374,9 +292,7 @@ int run_baseline(int argc, char** argv) {
   flags.define_bool("quick", false, "smaller work budget (CI smoke)");
   flags.define_i64("budget", 0, "work units per run (0 = default)");
   flags.define_i64("repeats", 5, "timed repeats; reported times = median");
-  flags.define_str("minimize", "recursive",
-                   "minimization tier in full-solve runs: off|recursive");
-  if (!flags.parse(argc, argv) || !valid_minimize_mode(flags.str("minimize"))) {
+  if (!flags.parse(argc, argv)) {
     std::fputs(flags.usage("bench_solver_micro").c_str(), stderr);
     return 2;
   }
@@ -396,8 +312,7 @@ int run_baseline(int argc, char** argv) {
   // watch structures overflow L2: the binary store's enqueue path never
   // touches the arena, so its advantage over blockered watchers scales
   // with DB coldness — the regime a long-running distributed solve with a
-  // large learned/imported DB lives in (cache-resident instances measure
-  // parity by design; see DESIGN.md §4a).
+  // large learned/imported DB lives in (see DESIGN.md §4a).
   cases.push_back({"random3sat-v100000-r4.2",
                    gen::random_ksat(100000, 420000, 3, 2003),
                    amo_groups(100000, 2000, 30, 17)});
@@ -416,22 +331,19 @@ int run_baseline(int argc, char** argv) {
       .field("aggregate", "median")
       .key("rows")
       .begin_array();
-  std::printf("%-24s %-11s %-5s %-8s %12s %12s %10s %10s %14s\n", "instance",
-              "measure", "fast", "status", "props", "bin_props", "wall_ms",
-              "bcp_ms", "props/s");
+  std::printf("%-24s %-11s %-8s %12s %12s %10s %10s %14s\n", "instance",
+              "measure", "status", "props", "bin_props", "wall_ms", "bcp_ms",
+              "props/s");
   const auto emit_row = [&json](const BaselineRow& row) {
-    std::printf("%-24s %-11s %-5s %-8s %12llu %12llu %10.1f %10.1f %14.0f\n",
+    std::printf("%-24s %-11s %-8s %12llu %12llu %10.1f %10.1f %14.0f\n",
                 row.instance.c_str(), row.measurement.c_str(),
-                row.binary_fast_path ? "on" : "off", row.status.c_str(),
+                row.status.c_str(),
                 static_cast<unsigned long long>(row.propagations),
                 static_cast<unsigned long long>(row.binary_propagations),
                 row.wall_ms, row.propagation_ms, row.props_per_sec);
     json.begin_object()
         .field("instance", row.instance)
         .field("measurement", row.measurement)
-        .field("binary_fast_path", row.binary_fast_path)
-        .field("minimize_learned", row.minimize_learned)
-        .field("minimize", row.minimize)
         .field("status", row.status)
         .field("work", row.work)
         .field("propagations", row.propagations)
@@ -441,48 +353,23 @@ int run_baseline(int argc, char** argv) {
         .field("props_per_sec", row.props_per_sec)
         .end_object();
   };
-  std::vector<std::pair<std::string, double>> speedups;
   for (const BaselineCase& c : cases) {
     cnf::CnfFormula f = c.formula;
     for (const cnf::Clause& cl : c.shared_binaries) f.add_clause(cl);
     const std::uint64_t rounds = std::max<std::uint64_t>(
         1, target_props / std::max<cnf::Var>(1, f.num_vars()));
-    // Interleave the two configs inside every repeat (off, on, off, on,
-    // ...) so machine-load drift on shared hardware — which moves slower
-    // than one repeat pair — cancels in the ratio instead of biasing
-    // whichever config ran later. Each cell reports the MEDIAN of its
-    // repeats (see median_row).
-    std::vector<BaselineRow> probe_shots[2];
-    std::vector<BaselineRow> solve_shots[2];
+    // Interleave the two measurements inside every repeat; each cell
+    // reports the MEDIAN of its repeats (see median_row).
+    std::vector<BaselineRow> probe_shots;
+    std::vector<BaselineRow> solve_shots;
     for (int rep = 0; rep < repeats; ++rep) {
-      for (const bool fast : {false, true}) {
-        probe_shots[fast].push_back(probe_once(c, f, fast, rounds));
-        solve_shots[fast].push_back(
-            solve_once(c, f, fast, flags.str("minimize"), budget));
-      }
+      probe_shots.push_back(probe_once(c, f, rounds));
+      solve_shots.push_back(solve_once(c, f, budget));
     }
-    BaselineRow probe[2];
-    BaselineRow solve[2];
-    for (const bool fast : {false, true}) {
-      probe[fast] = median_row(probe_shots[fast]);
-      solve[fast] = median_row(solve_shots[fast]);
-    }
-    for (const bool fast : {false, true}) {
-      emit_row(probe[fast]);
-      emit_row(solve[fast]);
-    }
-    speedups.emplace_back(
-        c.name, probe[false].props_per_sec > 0.0
-                    ? probe[true].props_per_sec / probe[false].props_per_sec
-                    : 0.0);
+    emit_row(median_row(probe_shots));
+    emit_row(median_row(solve_shots));
   }
-  json.end_array().key("speedup_props_per_sec").begin_object();
-  std::printf("\nspeedup (bcp-probe props/s, fast path on vs off):\n");
-  for (const auto& [name, speedup] : speedups) {
-    std::printf("  %-24s %.2fx\n", name.c_str(), speedup);
-    json.field(name, speedup);
-  }
-  json.end_object().end_object();
+  json.end_array().end_object();
 
   const std::string& path = flags.str("json");
   if (!path.empty()) {
@@ -499,204 +386,9 @@ int run_baseline(int argc, char** argv) {
   return 0;
 }
 
-// Minimization-tier ablation (ISSUE 6 / DESIGN.md §4f): budgeted full
-// solves on learning-heavy instances under the two --minimize tiers,
-// interleaved within each repeat so load drift cancels, medians reported.
-// Rows carry "bench":"minimize_ablation" so they can share a JSON file
-// with the --baseline object (use --append; the file then holds one JSON
-// object per run, newline-separated).
-//
-//   ./bench_solver_micro --minimize-ablation [--json=...] [--append]
-//       [--quick]
-int run_minimize_ablation(int argc, char** argv) {
-  util::Flags flags;
-  flags.define_bool("minimize-ablation", false,
-                    "run the minimization-tier ablation");
-  flags.define_str("json", "BENCH_solver.json", "write results to this file");
-  flags.define_bool("append", false, "append to --json instead of truncating");
-  flags.define_bool("quick", false, "smaller work budget (CI smoke)");
-  flags.define_i64("budget", 0, "work units per run (0 = default)");
-  flags.define_i64("repeats", 5, "timed repeats; reported times = median");
-  if (!flags.parse(argc, argv)) {
-    std::fputs(flags.usage("bench_solver_micro").c_str(), stderr);
-    return 2;
-  }
-  const bool quick = flags.boolean("quick");
-  const std::uint64_t budget =
-      flags.i64("budget") > 0 ? static_cast<std::uint64_t>(flags.i64("budget"))
-                              : (quick ? 1'000'000 : 8'000'000);
-  const int repeats =
-      quick ? 3 : std::max(1, static_cast<int>(flags.i64("repeats")));
-
-  // Conflict-heavy instances: minimization only matters where learned
-  // clauses pile up, so the cache-cold BCP giants of --baseline would
-  // measure nothing here. Pigeonhole and Urquhart burn their whole budget
-  // in conflicts; the threshold random-3SAT rows add variable-rich mixes.
-  // All are sized to stay UNKNOWN at the work budget so every tier grows
-  // a comparable database.
-  std::vector<BaselineCase> cases;
-  cases.push_back({"pigeonhole-10", gen::pigeonhole_unsat(10), {}});
-  cases.push_back({"pigeonhole-12", gen::pigeonhole_unsat(12), {}});
-  cases.push_back({"urquhart-16", gen::urquhart_like(16, 3), {}});
-  cases.push_back(
-      {"random3sat-v300-r4.25", gen::random_ksat(300, 1275, 3, 42), {}});
-  cases.push_back(
-      {"random3sat-v500-r4.25", gen::random_ksat(500, 2125, 3, 9), {}});
-
-  static constexpr std::string_view kModes[] = {"off", "recursive"};
-  constexpr int kTiers = static_cast<int>(std::size(kModes));
-  util::JsonWriter json;
-  json.begin_object()
-      .field("bench", "minimize_ablation")
-      .field("work_budget", budget)
-      .field("repeats", static_cast<std::int64_t>(repeats))
-      .field("aggregate", "median")
-      .key("rows")
-      .begin_array();
-  std::printf("%-24s %-10s %-10s %-8s %10s %12s %12s %10s %10s %14s\n",
-              "instance", "measure", "minimize", "status", "conflicts",
-              "learned_lits", "props", "wall_ms", "bcp_ms", "props/s");
-  const auto emit_row = [&json](const BaselineRow& row) {
-    std::printf(
-        "%-24s %-10s %-10s %-8s %10llu %12llu %12llu %10.1f %10.1f %14.0f\n",
-        row.instance.c_str(), row.measurement.c_str(), row.minimize.c_str(),
-        row.status.c_str(), static_cast<unsigned long long>(row.conflicts),
-        static_cast<unsigned long long>(row.learned_literals),
-        static_cast<unsigned long long>(row.propagations), row.wall_ms,
-        row.propagation_ms, row.props_per_sec);
-    json.begin_object()
-        .field("bench", "minimize_ablation")
-        .field("instance", row.instance)
-        .field("measurement", row.measurement)
-        .field("minimize", row.minimize)
-        .field("minimize_learned", row.minimize_learned)
-        .field("binary_fast_path", row.binary_fast_path)
-        .field("status", row.status)
-        .field("work", row.work)
-        .field("conflicts", row.conflicts)
-        .field("learned_literals", row.learned_literals)
-        .field("propagations", row.propagations)
-        .field("wall_ms", row.wall_ms)
-        .field("propagation_ms", row.propagation_ms)
-        .field("props_per_sec", row.props_per_sec)
-        .end_object();
-  };
-  // The geomean gate is computed over the db-probe rows: a full solve's
-  // props/s confounds BCP throughput with the (config-dependent) search
-  // trajectory, while the probe replays one fixed decision sweep over
-  // whatever database each tier built — the clause-length and footprint
-  // effect of minimization, isolated from the search it steered.
-  double geomean[kTiers] = {};
-  for (const BaselineCase& c : cases) {
-    const std::uint64_t rounds = std::max<std::uint64_t>(
-        1, (quick ? 200'000 : 500'000) /
-               std::max<cnf::Var>(1, c.formula.num_vars()));
-    std::vector<BaselineRow> solve_shots[kTiers];
-    std::vector<BaselineRow> probe_shots[kTiers];
-    for (int rep = 0; rep < repeats; ++rep) {
-      for (int m = 0; m < kTiers; ++m) {
-        // Build the tier's database with a budgeted solve (timed: the
-        // full-solve row), then sweep the fixed probe over it.
-        solver::SolverConfig config = minimize_mode_config(kModes[m]);
-        config.measure_propagation = true;
-        solver::CdclSolver solver(c.formula, config);
-        BaselineRow row;
-        row.instance = c.name;
-        row.measurement = "full-solve";
-        row.binary_fast_path = config.binary_fast_path;
-        row.minimize = kModes[m];
-        row.minimize_learned = config.minimize_learned;
-        auto start = std::chrono::steady_clock::now();
-        row.status = solver::to_string(solver.solve(budget));
-        row.wall_ms = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - start)
-                          .count();
-        row.work = solver.stats().work;
-        row.propagations = solver.stats().propagations;
-        row.conflicts = solver.stats().conflicts;
-        row.learned_literals = solver.stats().learned_literals;
-        row.propagation_ms =
-            static_cast<double>(solver.stats().propagation_ns) * 1e-6;
-        row.props_per_sec =
-            row.propagation_ms > 0.0
-                ? static_cast<double>(row.propagations) * 1000.0 /
-                      row.propagation_ms
-                : 0.0;
-        solve_shots[m].push_back(row);
-
-        BaselineRow probe = row;
-        probe.measurement = "db-probe";
-        probe.status = "PROBE";
-        solver.probe_reset();
-        const std::uint64_t props0 = solver.stats().propagations;
-        const std::uint64_t ns0 = solver.stats().propagation_ns;
-        const std::uint64_t work0 = solver.stats().work;
-        const cnf::Var nv = c.formula.num_vars();
-        start = std::chrono::steady_clock::now();
-        for (std::uint64_t round = 0; round < rounds; ++round) {
-          for (cnf::Var v = 1; v <= nv; ++v) {
-            if (!solver.probe_assume(cnf::Lit(v, ((v + round) & 1) == 0))) {
-              solver.probe_reset();
-            }
-          }
-          solver.probe_reset();
-        }
-        probe.wall_ms = std::chrono::duration<double, std::milli>(
-                            std::chrono::steady_clock::now() - start)
-                            .count();
-        probe.work = solver.stats().work - work0;
-        probe.propagations = solver.stats().propagations - props0;
-        probe.propagation_ms =
-            static_cast<double>(solver.stats().propagation_ns - ns0) * 1e-6;
-        probe.props_per_sec =
-            probe.propagation_ms > 0.0
-                ? static_cast<double>(probe.propagations) * 1000.0 /
-                      probe.propagation_ms
-                : 0.0;
-        probe_shots[m].push_back(probe);
-      }
-    }
-    for (int m = 0; m < kTiers; ++m) {
-      emit_row(median_row(solve_shots[m]));
-      const BaselineRow probe = median_row(probe_shots[m]);
-      emit_row(probe);
-      geomean[m] += std::log(std::max(probe.props_per_sec, 1.0));
-    }
-  }
-  json.end_array().key("geomean_probe_props_per_sec").begin_object();
-  std::printf("\ndb-probe props/s geomean by minimization tier:\n");
-  for (int m = 0; m < kTiers; ++m) {
-    const double g = std::exp(geomean[m] / static_cast<double>(cases.size()));
-    std::printf("  %-10s %14.0f\n", std::string(kModes[m]).c_str(), g);
-    json.field(std::string(kModes[m]), g);
-  }
-  json.end_object().end_object();
-
-  const std::string& path = flags.str("json");
-  if (!path.empty()) {
-    std::FILE* out =
-        std::fopen(path.c_str(), flags.boolean("append") ? "a" : "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", path.c_str());
-      return 1;
-    }
-    std::fputs(json.str().c_str(), out);
-    std::fputc('\n', out);
-    std::fclose(out);
-    std::printf("\n%s %s\n", flags.boolean("append") ? "appended to" : "wrote",
-                path.c_str());
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--minimize-ablation") {
-      return run_minimize_ablation(argc, argv);
-    }
-  }
   for (int i = 1; i < argc; ++i) {
     if (std::string_view(argv[i]) == "--baseline") {
       return run_baseline(argc, argv);

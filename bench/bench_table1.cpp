@@ -66,9 +66,6 @@ int main(int argc, char** argv) {
   flags.define_f64("scale", 1.0, "multiply all time caps by this factor");
   flags.define_bool("seq-only", false, "run only the sequential comparator");
   flags.define_bool("grid-only", false, "run only GridSAT");
-  flags.define_bool("compact", solver::SolverConfig{}.arena_compact,
-                    "locality-aware arena compaction on DB reductions "
-                    "(--compact=false for the pre-overhaul layout)");
   flags.define_str("json", "", "also append one JSON object per row to this file");
   if (!flags.parse(argc, argv)) {
     std::fputs(flags.usage("bench_table1").c_str(), stderr);
@@ -117,7 +114,6 @@ int main(int argc, char** argv) {
       options.timeout_s = 18000.0 * scale;
       options.solver = era_solver_config();
       options.solver.allow_memory_squeeze = false;
-      options.solver.arena_compact = flags.boolean("compact");
       const core::SequentialResult seq = core::run_sequential(formula, options);
       report.sequential = seq;
       result.seq_cell = render_time_cell(seq);
@@ -130,7 +126,6 @@ int main(int argc, char** argv) {
     if (!flags.boolean("seq-only")) {
       core::GridSatConfig config;
       config.solver = era_solver_config();
-      config.solver.arena_compact = flags.boolean("compact");
       config.share_max_len = 10;
       config.split_timeout_s = 100.0;
       config.overall_timeout_s =

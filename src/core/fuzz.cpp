@@ -118,15 +118,9 @@ ScenarioOutcome run_scenario(std::uint64_t seed, obs::Tracer* tracer) {
   // budgets small enough to drop everything.
   config.split_learned_budget_bytes =
       rng.chance(3) ? 0 : static_cast<std::size_t>(rng.range(64, 4096));
-  // Learned-clause pipeline dimensions (DESIGN.md §4f): recursive
-  // minimization, binary-resolution strengthening, on-the-fly
-  // subsumption, and the locality compaction all interleave with splits,
-  // sharing, checkpoints, and the proof oracle — every strengthened
-  // clause must stay globally valid (taint rules) and RUP (certification).
-  config.solver.minimize_learned = !rng.chance(4);
-  config.solver.minimize_bin = !rng.chance(3);
-  config.solver.otf_subsume = !rng.chance(3);
-  config.solver.arena_compact = !rng.chance(3);
+  // Retired-knob draws, kept: every seed keeps instance, hosts, kills, mode.
+  rng.chance(4);
+  for (int i = 0; i < 3; ++i) rng.chance(3);
   // Heuristic-diversification dimensions (DESIGN.md §4i). These are the
   // axes diversified_config() spreads racers across, and they must be
   // verdict-neutral on their own, so they also fuzz in plain split mode:

@@ -125,7 +125,7 @@ void CdclSolver::attach_all() {
   const std::size_t num_codes = watches_.size();
   std::vector<std::uint32_t> counts(2 * num_codes, 0);  // long, then binary
   arena_.for_each([&](ClauseRef r) {
-    const std::size_t base = in_binary_store(r) ? num_codes : 0;
+    const std::size_t base = arena_.binary(r) ? num_codes : 0;
     ++counts[base + arena_.lit(r, 0).code()];
     ++counts[base + arena_.lit(r, 1).code()];
   });
@@ -229,7 +229,7 @@ void CdclSolver::attach(ClauseRef cref) {
   assert(arena_.size(cref) >= 2);
   const Lit l0 = arena_.lit(cref, 0);
   const Lit l1 = arena_.lit(cref, 1);
-  if (in_binary_store(cref)) {
+  if (arena_.binary(cref)) {
     bin_watches_[l0.code()].push_back(BinWatcher{l1, cref});
     bin_watches_[l1.code()].push_back(BinWatcher{l0, cref});
     set_occupied(bin_occupied_, l0.code());
@@ -243,7 +243,7 @@ void CdclSolver::attach(ClauseRef cref) {
 }
 
 void CdclSolver::detach(ClauseRef cref) {
-  if (in_binary_store(cref)) {
+  if (arena_.binary(cref)) {
     for (const std::uint32_t i : {0u, 1u}) {
       auto& ws = bin_watches_[arena_.lit(cref, i).code()];
       const auto it =
@@ -320,7 +320,7 @@ void CdclSolver::enqueue_implied(Lit p, ClauseRef reason, std::uint32_t dl) {
 }
 
 ClauseRef CdclSolver::propagate_binary(Lit falsified, std::uint32_t dl) {
-  // Binary fast path: one contiguous scan of 8-byte records that never
+  // Binary store: one contiguous scan of 8-byte records that never
   // touches the arena — not even on implication. Binary reason clauses
   // are therefore NOT slot-0 normalized; analyze() and the locked-clause
   // checks resolve the direction by variable instead (minimize() and the
@@ -349,11 +349,10 @@ ClauseRef CdclSolver::propagate_binary(Lit falsified, std::uint32_t dl) {
 
 ClauseRef CdclSolver::propagate() {
   if (!config_.measure_propagation) {
-    return config_.binary_fast_path ? propagate_fast() : propagate_legacy();
+    return propagate_fast();
   }
   const auto t0 = std::chrono::steady_clock::now();
-  const ClauseRef confl =
-      config_.binary_fast_path ? propagate_fast() : propagate_legacy();
+  const ClauseRef confl = propagate_fast();
   stats_.propagation_ns += static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - t0)
@@ -451,63 +450,6 @@ ClauseRef CdclSolver::propagate_fast() {
       ++stats_.propagations;
     }
     ws.resize(static_cast<std::size_t>(j - begin));
-  }
-  return kNoClause;
-}
-
-ClauseRef CdclSolver::propagate_legacy() {
-  // Paper-era hot path (binary_fast_path = false): every clause, binaries
-  // included, goes through the general two-watched-literal machinery, as
-  // in the zChaff the paper builds on. Kept verbatim as the ablation
-  // baseline for BENCH_solver.json and for historical fidelity.
-  while (qhead_ < trail_.size()) {
-    const Lit p = trail_[qhead_++];  // p just became true
-    const Lit falsified = ~p;
-    auto& ws = watches_[falsified.code()];
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < ws.size(); ++i) {
-      ++stats_.work;
-      const Watcher w = ws[i];
-      if (value(w.blocker) == LBool::kTrue) {
-        ws[keep++] = w;
-        continue;
-      }
-      const ClauseRef cref = w.cref;
-      // Normalize: watched slot 1 holds the falsified literal.
-      if (arena_.lit(cref, 0) == falsified) arena_.swap_lits(cref, 0, 1);
-      assert(arena_.lit(cref, 1) == falsified);
-      const Lit first = arena_.lit(cref, 0);
-      if (first != w.blocker && value(first) == LBool::kTrue) {
-        ws[keep++] = Watcher{cref, first};
-        continue;
-      }
-      // Look for a replacement watch among the tail literals.
-      const std::uint32_t size = arena_.size(cref);
-      bool moved = false;
-      for (std::uint32_t k = 2; k < size; ++k) {
-        ++stats_.work;
-        const Lit cand = arena_.lit(cref, k);
-        if (value(cand) != LBool::kFalse) {
-          arena_.swap_lits(cref, 1, k);
-          watches_[cand.code()].push_back(Watcher{cref, first});
-          moved = true;
-          break;
-        }
-      }
-      if (moved) continue;
-      // Clause is unit or conflicting.
-      ws[keep++] = Watcher{cref, first};
-      if (value(first) == LBool::kFalse) {
-        // Conflict: restore the remaining watchers and report.
-        for (std::size_t j = i + 1; j < ws.size(); ++j) ws[keep++] = ws[j];
-        ws.resize(keep);
-        qhead_ = trail_.size();
-        return cref;
-      }
-      enqueue(first, cref);
-      ++stats_.propagations;
-    }
-    ws.resize(keep);
   }
   return kNoClause;
 }
@@ -631,7 +573,7 @@ void CdclSolver::analyze(ClauseRef confl, std::vector<Lit>& learned,
     // the pivot is unassigned (path_count >= 2 guarantees the conflict
     // level is above the backjump level AND that the strengthened clause
     // keeps >= 2 unassigned literals for its watches).
-    if (config_.otf_subsume && p != kUndefLit && dropped == 0 &&
+    if (p != kUndefLit && dropped == 0 &&
         path_count >= 2 && lits.size() >= 3 &&
         path_count + learned.size() - 1 == lits.size() - 1) {
       otf_jobs_.push_back(OtfJob{cl, p.var()});
@@ -648,12 +590,8 @@ void CdclSolver::analyze(ClauseRef confl, std::vector<Lit>& learned,
   uip = p;
   learned[0] = ~p;
 
-  if (config_.minimize_learned) {
-    minimize(learned);
-    if (config_.minimize_bin && config_.binary_fast_path) {
-      strengthen_binary(learned);
-    }
-  }
+  minimize(learned);
+  strengthen_binary(learned);
 
   // LBD of the final clause (post-minimization), while every literal is
   // still assigned — backtracking clears the levels this counts.
@@ -983,7 +921,7 @@ void CdclSolver::reduce_db() {
   // are never candidates anyway.
   for (const Lit p : trail_) {
     const ClauseRef pr = vars_[p.var()].reason;
-    if (pr != kNoClause && pr != kDecisionReason && !in_binary_store(pr)) {
+    if (pr != kNoClause && pr != kDecisionReason && !arena_.binary(pr)) {
       assert(arena_.lit(pr, 0) == p &&
              "reason clause must keep its implied literal in slot 0");
     }
@@ -1018,11 +956,7 @@ void CdclSolver::reduce_db() {
   }
   max_learned_ = static_cast<std::size_t>(
       static_cast<double>(max_learned_) * config_.reduce_growth);
-  if (config_.arena_compact) {
-    compact_ordered();
-  } else {
-    garbage_collect();
-  }
+  compact_ordered();
   obs::trace_event(tracer_, trace_worker_, obs::EventKind::kDbReduce,
                    to_delete, arena_.num_learned());
 }
@@ -1032,7 +966,7 @@ void CdclSolver::drop_all_learned() {
   victims.reserve(arena_.num_learned());
   arena_.for_each([&](ClauseRef r) {
     if (!arena_.learned(r)) return;
-    // Binary fast-path reasons are unordered, so a binary clause can be
+    // Binary-store reasons are unordered, so a binary clause can be
     // the reason of either of its literals; check both.
     const auto is_reason = [&](cnf::Lit l) {
       return value(l) == cnf::LBool::kTrue && vars_[l.var()].reason == r;
@@ -1554,7 +1488,7 @@ std::string CdclSolver::check_invariants() const {
     // implied literal may sit in either slot.
     const ClauseRef reason = vars_[p.var()].reason;
     if (reason != kNoClause && reason != kDecisionReason) {
-      if (in_binary_store(reason)) {
+      if (arena_.binary(reason)) {
         if (arena_.lit(reason, 0) != p && arena_.lit(reason, 1) != p) {
           err << "binary reason of " << cnf::to_string(p)
               << " does not contain it";
@@ -1569,8 +1503,7 @@ std::string CdclSolver::check_invariants() const {
   }
   // Watcher integrity: every live clause of size >= 2 is watched exactly
   // on its first two literals — binary clauses in the binary-implication
-  // store (when the fast path is on), everything else in the general
-  // watch lists, and never in both.
+  // store, everything else in the general watch lists, and never in both.
   std::string result;
   arena_.for_each([&](ClauseRef r) {
     if (!result.empty()) return;
@@ -1578,7 +1511,7 @@ std::string CdclSolver::check_invariants() const {
       result = "live clause of size < 2 in arena";
       return;
     }
-    const bool binary_store = in_binary_store(r);
+    const bool binary_store = arena_.binary(r);
     for (const std::uint32_t slot : {0u, 1u}) {
       const Lit w = arena_.lit(r, slot);
       const Lit other = arena_.lit(r, 1 - slot);
@@ -1603,24 +1536,21 @@ std::string CdclSolver::check_invariants() const {
     }
   });
   if (!result.empty()) return result;
-  // Occupancy bitmaps: a clear bit is a proof of emptiness that lets the
-  // fast path skip the list lookup, so a clear bit over a non-empty list
+  // Occupancy bitmaps: a clear bit is a proof of emptiness that lets
+  // propagation skip the list lookup, so a clear bit over a non-empty list
   // would silently drop propagations. (Stale set bits over empty lists
-  // are fine — they only cost the lookup.) Only the fast path maintains
-  // and consults the bitmaps.
-  if (config_.binary_fast_path) {
-    for (std::size_t code = 0; code < watches_.size(); ++code) {
-      const auto c = static_cast<std::uint32_t>(code);
-      if (!bin_watches_[code].empty() && !occupied(bin_occupied_, c)) {
-        err << "binary watch list for code " << code
-            << " non-empty but occupancy bit clear";
-        return err.str();
-      }
-      if (!watches_[code].empty() && !occupied(watch_occupied_, c)) {
-        err << "watch list for code " << code
-            << " non-empty but occupancy bit clear";
-        return err.str();
-      }
+  // are fine — they only cost the lookup.)
+  for (std::size_t code = 0; code < watches_.size(); ++code) {
+    const auto c = static_cast<std::uint32_t>(code);
+    if (!bin_watches_[code].empty() && !occupied(bin_occupied_, c)) {
+      err << "binary watch list for code " << code
+          << " non-empty but occupancy bit clear";
+      return err.str();
+    }
+    if (!watches_[code].empty() && !occupied(watch_occupied_, c)) {
+      err << "watch list for code " << code
+          << " non-empty but occupancy bit clear";
+      return err.str();
     }
   }
   // Watched-literal invariant (only meaningful in a fully propagated,

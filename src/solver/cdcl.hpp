@@ -120,41 +120,6 @@ struct SolverConfig {
   /// per-literal VSIDS sign, the historical behaviour.
   PolarityInit polarity_init = PolarityInit::kActivity;
 
-  /// Learned-clause minimization (MiniSat-era extension, postdates the
-  /// paper). Default on since the recursive overhaul paid for itself on
-  /// the micro suite (BENCH_solver.json "minimize_ablation" rows); turn
-  /// off for paper-era fidelity or the ablation baseline.
-  bool minimize_learned = true;
-
-  /// Binary-resolution strengthening of the learned clause: resolve
-  /// against binary clauses watching the asserting literal to drop
-  /// further literals (Glucose's minimisationWithBinaryResolution). Only
-  /// active alongside minimize_learned and the binary fast path (the
-  /// binary store is the index it scans).
-  bool minimize_bin = true;
-
-  /// On-the-fly subsumption during conflict analysis (Han–Somenzi): when
-  /// an intermediate resolvent has exactly one literal fewer than the
-  /// antecedent it was resolved with, the antecedent is strengthened in
-  /// place by dropping the pivot (self-subsuming resolution), with a
-  /// DRAT add+delete pair when proof logging is on.
-  bool otf_subsume = true;
-
-  /// Locality-aware arena compaction on reduce_db(): rewrite survivors in
-  /// watcher-traversal order (problem clauses first, then learned, glue
-  /// first) instead of preserving allocation order, so late-run watcher
-  /// scans stay cache-resident. Falls back to allocation-order gc()
-  /// under memory pressure (no order vector, no sort).
-  bool arena_compact = true;
-
-  /// Propagate binary clauses from a dedicated implication store instead
-  /// of the general watcher machinery (one contiguous scan per literal,
-  /// no arena dereference, no watch relocation). Post-2003 engineering:
-  /// paper-era zChaff routed binaries through the same watch lists as
-  /// every other clause, so turning this off reproduces the historical
-  /// hot path (and is the ablation baseline for BENCH_solver.json).
-  bool binary_fast_path = true;
-
   /// Accumulate wall time spent inside propagate() into
   /// SolverStats::propagation_ns. Off by default: two clock reads per
   /// propagate() call are cheap but not free, and only the benches need
@@ -419,13 +384,8 @@ class CdclSolver {
   bool enqueue_level0(cnf::Lit p, bool tainted);
   ClauseRef propagate();
   ClauseRef propagate_fast();
-  ClauseRef propagate_legacy();
   ClauseRef propagate_binary(cnf::Lit falsified, std::uint32_t dl);
   void enqueue_implied(cnf::Lit p, ClauseRef reason, std::uint32_t dl);
-  /// True when this clause is (or would be) watched by the binary store.
-  [[nodiscard]] bool in_binary_store(ClauseRef cref) const {
-    return config_.binary_fast_path && arena_.size(cref) == 2;
-  }
   void analyze(ClauseRef confl, std::vector<cnf::Lit>& learned,
                std::uint32_t& backjump_level, cnf::Lit& uip,
                std::uint32_t& lbd);
@@ -513,14 +473,13 @@ class CdclSolver {
   ClauseArena arena_;
   std::vector<std::vector<Watcher>> watches_;  ///< indexed by literal code
   /// Binary-clause implications, indexed by the falsified literal's code;
-  /// disjoint from watches_ while config_.binary_fast_path is on.
+  /// disjoint from watches_ (binary clauses live here alone).
   std::vector<std::vector<BinWatcher>> bin_watches_;
   /// Occupancy bitmaps (bit per literal code, cache-resident): a clear bit
   /// proves the corresponding watch list is empty, so propagate_fast()
   /// skips the (usually cold) list-header load entirely. Conservative:
   /// bits are set on every insertion and never cleared on removal — a
-  /// stale set bit only costs the lookup it would have cost anyway. The
-  /// legacy ablation path does not consult them.
+  /// stale set bit only costs the lookup it would have cost anyway.
   std::vector<std::uint64_t> bin_occupied_;
   std::vector<std::uint64_t> watch_occupied_;
 

@@ -32,13 +32,17 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CertifyFuzzTest,
                          ::testing::Range<std::uint64_t>(1, 25));
 
 // Seeds that once broke the oracle: 44 (a hybrid child bounced off a host
-// racing another child was dropped), 1034 (a relaunch freed a dead client
-// whose compute slice was still queued), 1484 (a racer's stale verdict
-// refuted the child it started after a race cancel), 10660 (a host was
-// relaunched before the master noticed its client's death).
+// racing another child was dropped), 1034 and 41004 (a relaunch freed a
+// dead client whose compute slice was still queued; caught by the ASan
+// build), 1484 and 15491 (a racer's stale verdict refuted the child it
+// started after a race cancel), 10660 (a host was relaunched before the
+// master noticed its client's death). Seeds 1034 and 1484 no longer reach
+// their bug since every scenario runs the full learned-clause pipeline;
+// 41004 and 15491 do, and fail with the respective fix reverted.
 INSTANTIATE_TEST_SUITE_P(Regressions, CertifyFuzzTest,
                          ::testing::Values<std::uint64_t>(44, 1034, 1484,
-                                                          10660));
+                                                          10660, 41004,
+                                                          15491));
 
 TEST(CertifyFuzzAggregateTest, SweepExercisesEveryScenarioDimension) {
   if (!solver::kProofCompiledIn) GTEST_SKIP() << "GRIDSAT_PROOF is off";

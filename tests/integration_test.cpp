@@ -1,18 +1,13 @@
-// Cross-module integration: preprocessing feeding the grid campaign, the
-// thread-parallel solver agreeing with the simulated campaign, DIMACS
-// files flowing through the whole pipeline, and proofs logged for
-// instances the campaign refutes.
+// Cross-module integration: the thread-parallel solver agreeing with the
+// simulated campaign, DIMACS files flowing through the whole pipeline, and
+// proofs logged for instances the campaign refutes.
 #include <gtest/gtest.h>
 
 #include "cnf/dimacs.hpp"
 #include "core/campaign.hpp"
-#include "core/sequential.hpp"
-#include "core/testbeds.hpp"
 #include "gen/pigeonhole.hpp"
 #include "gen/quasigroup.hpp"
-#include "gen/random_ksat.hpp"
 #include "solver/parallel.hpp"
-#include "solver/preprocess.hpp"
 #include "solver/proof.hpp"
 
 namespace gridsat {
@@ -45,34 +40,6 @@ core::GridSatConfig quick_config() {
   return config;
 }
 
-TEST(IntegrationTest, PreprocessThenCampaignAgrees) {
-  for (int seed = 0; seed < 4; ++seed) {
-    const CnfFormula f =
-        gen::random_ksat(50, 213, 3, static_cast<std::uint64_t>(seed) + 900);
-    core::SequentialOptions seq;
-    seq.host = core::testbeds::fastest_dedicated();
-    seq.timeout_s = 1e9;
-    const auto truth = core::run_sequential(f, seq).status;
-    ASSERT_NE(truth, SolveStatus::kUnknown);
-
-    const solver::PreprocessResult pre = solver::preprocess(f);
-    if (pre.unsat) {
-      EXPECT_EQ(truth, SolveStatus::kUnsat) << "seed " << seed;
-      continue;
-    }
-    core::Campaign campaign(pre.simplified, "one", hosts4(), quick_config());
-    const core::GridSatResult result = campaign.run();
-    if (truth == SolveStatus::kSat) {
-      ASSERT_EQ(result.status, CampaignStatus::kSat) << "seed " << seed;
-      const cnf::Assignment full =
-          solver::reconstruct_model(pre, result.model);
-      EXPECT_TRUE(is_model(f, full)) << "seed " << seed;
-    } else {
-      EXPECT_EQ(result.status, CampaignStatus::kUnsat) << "seed " << seed;
-    }
-  }
-}
-
 TEST(IntegrationTest, ParallelSolverAgreesWithCampaign) {
   const CnfFormula f = gen::pigeonhole_unsat(7);
   core::Campaign campaign(f, "one", hosts4(), quick_config());
@@ -89,7 +56,7 @@ TEST(IntegrationTest, ParallelSolverAgreesWithCampaign) {
 }
 
 TEST(IntegrationTest, DimacsFileThroughWholePipeline) {
-  // Generate -> write -> parse -> preprocess -> campaign, end to end.
+  // Generate -> write -> parse -> campaign, end to end.
   gen::QuasigroupParams params;
   params.order = 6;
   params.seed = 4;
@@ -99,13 +66,10 @@ TEST(IntegrationTest, DimacsFileThroughWholePipeline) {
   const CnfFormula loaded = cnf::parse_dimacs_file(path);
   ASSERT_TRUE(original == loaded);
 
-  const solver::PreprocessResult pre = solver::preprocess(loaded);
-  ASSERT_FALSE(pre.unsat);
-  core::Campaign campaign(pre.simplified, "one", hosts4(), quick_config());
+  core::Campaign campaign(loaded, "one", hosts4(), quick_config());
   const core::GridSatResult result = campaign.run();
   ASSERT_EQ(result.status, CampaignStatus::kSat);
-  const cnf::Assignment full = solver::reconstruct_model(pre, result.model);
-  EXPECT_TRUE(is_model(original, full));
+  EXPECT_TRUE(is_model(original, result.model));
 }
 
 TEST(IntegrationTest, SequentialProofForCampaignRefutedInstance) {

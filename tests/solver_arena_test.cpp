@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "solver/clause_arena.hpp"
@@ -53,7 +55,8 @@ TEST(ClauseArenaTest, ByteAccounting) {
 TEST(ClauseArenaTest, SwapAndSetLits) {
   ClauseArena arena;
   const ClauseRef r = arena.alloc(lits({1, 2, 3}), false);
-  arena.swap_lits(r, 0, 2);
+  const std::span<Lit> view = arena.lits_mut(r);
+  std::swap(view[0], view[2]);
   EXPECT_EQ(arena.lit(r, 0), Lit::from_dimacs(3));
   EXPECT_EQ(arena.lit(r, 2), Lit::from_dimacs(1));
   arena.set_lit(r, 1, Lit::from_dimacs(-5));

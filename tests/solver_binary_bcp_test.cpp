@@ -1,13 +1,12 @@
-// The binary-clause fast path (BCP microarchitecture, DESIGN.md):
-//   * binary implications propagate from the dedicated store, with the
-//     same verdicts as the general-watcher path (ablation flag off);
-//   * conflict analysis works with binary reason clauses (the implied
-//     literal is kept in slot 0 by the fast path);
+// The binary-clause store (BCP microarchitecture, DESIGN.md):
+//   * binary implications propagate from the dedicated store;
+//   * conflict analysis works with binary reason clauses (unordered: the
+//     implied literal may sit in either slot);
 //   * binary clauses survive split / import / export and DB maintenance
 //     (reduce, emergency drop, garbage collection);
 //   * check_invariants() covers both watcher stores;
-//   * differential fuzzing against brute force, biased toward formulas
-//     with many binary clauses.
+//   * differential fuzzing against brute force and DRUP replay, biased
+//     toward formulas with many binary clauses.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -18,6 +17,7 @@
 #include "gen/random_ksat.hpp"
 #include "solver/brute_force.hpp"
 #include "solver/cdcl.hpp"
+#include "solver/proof.hpp"
 
 namespace gridsat::solver {
 namespace {
@@ -71,14 +71,6 @@ TEST(BinaryBcpTest, FastPathActuallyTaken) {
             solver.stats().propagations / 2);
 }
 
-TEST(BinaryBcpTest, AblationFlagDisablesStore) {
-  SolverConfig config;
-  config.binary_fast_path = false;
-  CdclSolver solver(gen::pigeonhole_unsat(6), config);
-  EXPECT_EQ(solver.solve(), SolveStatus::kUnsat);
-  EXPECT_EQ(solver.stats().binary_propagations, 0u);
-}
-
 TEST(BinaryBcpTest, ConflictAnalysisWithBinaryReasons) {
   // A conflict whose implication graph is all binary edges: the decision
   // V1 implies V2, V3 via binaries and clause (~V2 ~V3) conflicts. The
@@ -103,19 +95,17 @@ TEST(BinaryBcpTest, ConflictAnalysisWithBinaryReasons) {
 }
 
 TEST(BinaryBcpTest, InvariantsHoldOverBothStores) {
-  for (const bool fast : {true, false}) {
-    SolverConfig config;
-    config.binary_fast_path = fast;
-    CdclSolver solver(binary_heavy(30, 45, 80, 11), config);
-    SolveStatus status = SolveStatus::kUnknown;
-    int slices = 0;
-    while (status == SolveStatus::kUnknown && slices < 50) {
-      status = solver.solve(1000);
-      EXPECT_EQ(solver.check_invariants(), "")
-          << "fast=" << fast << " slice " << slices;
-      ++slices;
-    }
+  // Binary clauses in the binary store, longer ones in the watch lists:
+  // check_invariants() walks both after every slice.
+  CdclSolver solver(binary_heavy(30, 45, 80, 11));
+  SolveStatus status = SolveStatus::kUnknown;
+  int slices = 0;
+  while (status == SolveStatus::kUnknown && slices < 50) {
+    status = solver.solve(1000);
+    EXPECT_EQ(solver.check_invariants(), "") << "slice " << slices;
+    ++slices;
   }
+  EXPECT_NE(status, SolveStatus::kUnknown);
 }
 
 TEST(BinaryBcpTest, DbMaintenanceKeepsBinaryStoreCoherent) {
@@ -216,7 +206,7 @@ TEST(BinaryBcpTest, ExportedBinariesImportSoundly) {
   }
 }
 
-// --- Differential fuzz: binary-biased formulas, fast path on vs off ------
+// --- Differential fuzz: binary-biased formulas vs brute force + DRUP -----
 
 class BinaryBcpFuzz : public testing::TestWithParam<int> {};
 
@@ -226,21 +216,20 @@ TEST_P(BinaryBcpFuzz, AgreesWithBruteForceAndAblation) {
   const CnfFormula f = binary_heavy(12, 14, 32, static_cast<std::uint64_t>(seed) * 6151 + 29);
   const auto truth = brute_force_solve(f);
 
-  CdclSolver fast(f);
-  SolverConfig slow_config;
-  slow_config.binary_fast_path = false;
-  CdclSolver slow(f, slow_config);
+  SolverConfig config;
+  config.log_proof = true;
+  CdclSolver solver(f, config);
 
-  const SolveStatus fast_status = fast.solve();
-  const SolveStatus slow_status = slow.solve();
-  EXPECT_EQ(fast_status, slow_status) << "seed " << seed;
-  EXPECT_EQ(fast_status,
-            truth.has_value() ? SolveStatus::kSat : SolveStatus::kUnsat)
+  const SolveStatus status = solver.solve();
+  EXPECT_EQ(status, truth.has_value() ? SolveStatus::kSat : SolveStatus::kUnsat)
       << "seed " << seed;
-  EXPECT_EQ(fast.check_invariants(), "");
-  if (fast_status == SolveStatus::kSat) {
-    EXPECT_TRUE(is_model(f, fast.model()));
-    EXPECT_TRUE(is_model(f, slow.model()));
+  EXPECT_EQ(solver.check_invariants(), "");
+  if (status == SolveStatus::kSat) {
+    EXPECT_TRUE(is_model(f, solver.model()));
+  } else if (kProofCompiledIn) {
+    // Every clause the binary store helped derive must replay as RUP.
+    const ProofCheckResult result = check_unsat_proof(f, solver.proof());
+    EXPECT_TRUE(result.valid) << "seed " << seed << ": " << result.message;
   }
 }
 

@@ -364,13 +364,13 @@ TEST(CdclStatsTest, ShareCallbackSeesEveryLearnedClause) {
 }
 
 TEST(CdclMinimizeTest, DifferentialSweepAgainstPlainPipeline) {
-  // Differential fuzz over the whole learned-clause pipeline: for each
-  // random instance, solve once with minimization + binary strengthening
-  // + on-the-fly subsumption + compaction all ON and once all OFF. The
-  // verdicts must agree (and match brute force), SAT models must satisfy
-  // the formula, and on UNSAT the full DRUP log — which contains an add
-  // for every minimized, strengthened, and subsumed clause — must replay
-  // through the proof checker, certifying each one is still implied.
+  // Differential fuzz over the whole learned-clause pipeline
+  // (minimization, binary strengthening, on-the-fly subsumption,
+  // compaction): for each random instance the verdict must match brute
+  // force, SAT models must satisfy the formula, and on UNSAT the full DRUP
+  // log — which contains an add for every minimized, strengthened, and
+  // subsumed clause — must replay through the proof checker, certifying
+  // each one is still implied.
   std::uint64_t total_minimized = 0;
   std::uint64_t total_bin = 0;
   std::uint64_t total_otf = 0;
@@ -381,17 +381,10 @@ TEST(CdclMinimizeTest, DifferentialSweepAgainstPlainPipeline) {
       case 1: f = gen::random_ksat(14, 62, 3, 202 + seed); break;
       default: f = gen::pigeonhole_unsat(4); break;
     }
-    SolverConfig off;
-    off.minimize_learned = false;
-    off.otf_subsume = false;
-    off.arena_compact = false;
-    SolverConfig on;
-    on.log_proof = true;
-    CdclSolver plain(f, off);
-    CdclSolver full(f, on);
-    const SolveStatus expect_plain = plain.solve();
+    SolverConfig config;
+    config.log_proof = true;
+    CdclSolver full(f, config);
     const SolveStatus expect_full = full.solve();
-    ASSERT_EQ(expect_plain, expect_full) << "seed " << seed;
     const auto truth = brute_force_solve(f);
     ASSERT_EQ(expect_full,
               truth.has_value() ? SolveStatus::kSat : SolveStatus::kUnsat)
@@ -425,7 +418,6 @@ TEST(CdclReduceTest, DeepDecisionLevelReduceWithCompactionHoldsInvariants) {
   SolverConfig config;
   config.reduce_base = 60;
   config.reduce_growth = 1.01;
-  config.arena_compact = true;
   CdclSolver compacting(f, config);
   SolveStatus status = SolveStatus::kUnknown;
   int slices = 0;
@@ -437,22 +429,6 @@ TEST(CdclReduceTest, DeepDecisionLevelReduceWithCompactionHoldsInvariants) {
   EXPECT_EQ(status, SolveStatus::kUnsat);
   EXPECT_GT(compacting.stats().arena_compactions, 0u);
   EXPECT_GT(compacting.stats().db_reductions, 0u);
-}
-
-TEST(CdclConfigTest, MinimizationShortensClauses) {
-  const CnfFormula f = gen::pigeonhole_unsat(7);
-  SolverConfig plain;
-  SolverConfig minimizing;
-  minimizing.minimize_learned = true;
-  CdclSolver a(f, plain);
-  CdclSolver b(f, minimizing);
-  EXPECT_EQ(a.solve(), SolveStatus::kUnsat);
-  EXPECT_EQ(b.solve(), SolveStatus::kUnsat);
-  const double avg_a = static_cast<double>(a.stats().learned_literals) /
-                       static_cast<double>(a.stats().learned_clauses);
-  const double avg_b = static_cast<double>(b.stats().learned_literals) /
-                       static_cast<double>(b.stats().learned_clauses);
-  EXPECT_LE(avg_b, avg_a + 0.5);
 }
 
 TEST(CdclConfigTest, RestartsDisabled) {

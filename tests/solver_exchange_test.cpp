@@ -79,31 +79,46 @@ TEST(LbdTest, LearnedUnitHasLbdOne) {
 
 TEST(LbdTest, ShareCallbackReportsSameLbdAsConflictRecord) {
   const CnfFormula f = gen::random_ksat(30, 128, 3, 11);
-  // On-the-fly strengthening re-exports clauses between conflicts, which
-  // would break the 1:1 pairing of conflict records with share calls that
-  // this test relies on; turn it off to compare learned exports only.
-  SolverConfig cfg;
-  cfg.otf_subsume = false;
-  CdclSolver solver(f, cfg);
-  std::vector<std::uint32_t> observed;
-  std::vector<std::uint32_t> shared;
+  CdclSolver solver(f);
+  // One stream of conflict records and exports, in callback order. After
+  // each conflict, on-the-fly strengthening may re-export older clauses
+  // before the learned clause goes out, so each record is paired with the
+  // export of the same clause content inside its own window.
+  struct Event {
+    bool conflict;
+    cnf::Clause clause;  ///< sorted, for content comparison
+    std::uint32_t lbd;
+  };
+  std::vector<Event> events;
+  const auto sorted = [](cnf::Clause c) {
+    std::sort(c.begin(), c.end());
+    return c;
+  };
   solver.set_conflict_observer([&](const ConflictRecord& rec) {
-    if (observed.size() < 200) observed.push_back(rec.lbd);
+    events.push_back({true, sorted(rec.learned_clause), rec.lbd});
   });
   solver.set_share_callback([&](const cnf::Clause& c, std::uint32_t lbd) {
-    if (shared.size() < 200) {
-      shared.push_back(lbd);
-      // LBD can never exceed the number of literals.
-      EXPECT_LE(lbd, c.size());
-      EXPECT_GE(lbd, 1u);
-    }
+    // LBD can never exceed the number of literals.
+    EXPECT_LE(lbd, c.size());
+    EXPECT_GE(lbd, 1u);
+    events.push_back({false, sorted(c), lbd});
   });
-  (void)solver.solve(200'000);
-  ASSERT_FALSE(shared.empty());
-  const std::size_t n = std::min(observed.size(), shared.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(observed[i], shared[i]) << "conflict " << i;
+  ASSERT_NE(solver.solve(200'000), SolveStatus::kUnknown);
+  std::size_t conflicts = 0;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    if (!events[i].conflict) continue;
+    ++conflicts;
+    // The learned clause is the last export of this conflict's window.
+    const Event* learned = nullptr;
+    for (std::size_t j = i + 1; j < events.size() && !events[j].conflict; ++j) {
+      if (events[j].clause == events[i].clause) learned = &events[j];
+    }
+    ASSERT_NE(learned, nullptr) << "conflict " << conflicts << " not exported";
+    EXPECT_EQ(learned->lbd, events[i].lbd) << "conflict " << conflicts;
   }
+  EXPECT_GT(conflicts, 0u);
+  // The interleaved re-exports this pairing skips must actually occur.
+  EXPECT_GT(solver.stats().otf_strengthened, 0u);
 }
 
 // --- Fingerprints and duplicate suppression ---------------------------

@@ -1,6 +1,6 @@
 // Configuration-invariance properties: the verdict (and model validity)
 // must not depend on heuristic knobs — restarts, decay schedule, phase
-// saving, minimization, budget slicing — and must survive DIMACS round
+// saving, DB reduction, budget slicing — and must survive DIMACS round
 // trips and noisy imports.
 #include <gtest/gtest.h>
 
@@ -49,11 +49,6 @@ std::vector<Knobs> knob_matrix() {
     SolverConfig c;
     c.phase_saving = false;
     knobs.push_back({"no-phase-saving", c});
-  }
-  {
-    SolverConfig c;
-    c.minimize_learned = true;
-    knobs.push_back({"minimize", c});
   }
   {
     SolverConfig c;
