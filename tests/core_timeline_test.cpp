@@ -39,7 +39,9 @@ TEST(TimelineTest, RecordsUtilizationRiseAndFall) {
   ASSERT_GT(samples.size(), 3u);
   // Time strictly increases; counts never exceed the pool.
   for (std::size_t i = 0; i < samples.size(); ++i) {
-    if (i > 0) EXPECT_GT(samples[i].t, samples[i - 1].t);
+    if (i > 0) {
+      EXPECT_GT(samples[i].t, samples[i - 1].t);
+    }
     EXPECT_LE(samples[i].busy + samples[i].idle + samples[i].reserved +
                   samples[i].launching + samples[i].free_hosts +
                   samples[i].dead,

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <ostream>
 
 #include "cnf/formula.hpp"
 #include "gen/circuit_families.hpp"
@@ -107,6 +108,12 @@ struct RandomSweepParams {
   cnf::Var num_vars;
   double clause_ratio;
 };
+
+// Without a printer gtest dumps the raw bytes, padding included, into the
+// test ids, which then differ between builds of the same source.
+void PrintTo(const RandomSweepParams& p, std::ostream* os) {
+  *os << "n" << p.num_vars << "_ratio" << p.clause_ratio;
+}
 
 class CdclRandomSweep
     : public testing::TestWithParam<std::tuple<RandomSweepParams, int>> {};

@@ -59,8 +59,12 @@ TEST(SplitTest, SplitPartitionsSearchSpace) {
     const bool combined =
         (sa == SolveStatus::kSat) || (sb == SolveStatus::kSat);
     EXPECT_EQ(combined, truth) << "seed " << seed;
-    if (sa == SolveStatus::kSat) EXPECT_TRUE(is_model(f, a.model()));
-    if (sb == SolveStatus::kSat) EXPECT_TRUE(is_model(f, b.model()));
+    if (sa == SolveStatus::kSat) {
+      EXPECT_TRUE(is_model(f, a.model()));
+    }
+    if (sb == SolveStatus::kSat) {
+      EXPECT_TRUE(is_model(f, b.model()));
+    }
   }
   EXPECT_GT(splits_seen, 0) << "sweep never exercised a split";
 }
