@@ -10,7 +10,9 @@
 // Besides the google-benchmark suite, `--baseline` runs a reproducible
 // fixed-work propagation-throughput measurement and writes machine-
 // readable rows to a JSON file (default BENCH_solver.json) — the
-// perf-trajectory baseline every perf PR regresses against (ROADMAP.md):
+// perf-trajectory baseline every perf PR regresses against (ROADMAP.md).
+// It replaces only the file's first line, so the record lines after it
+// survive:
 //
 //   ./bench_solver_micro --baseline [--json=BENCH_solver.json] [--quick]
 #include <benchmark/benchmark.h>
@@ -18,7 +20,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <random>
+#include <string>
 #include <string_view>
 
 #include "cnf/dimacs.hpp"
@@ -288,7 +293,8 @@ BaselineRow solve_once(const BaselineCase& c, const cnf::CnfFormula& f,
 int run_baseline(int argc, char** argv) {
   util::Flags flags;
   flags.define_bool("baseline", false, "run the fixed-work throughput baseline");
-  flags.define_str("json", "BENCH_solver.json", "write results to this file");
+  flags.define_str("json", "BENCH_solver.json",
+                   "write results to this file's first line");
   flags.define_bool("quick", false, "smaller work budget (CI smoke)");
   flags.define_i64("budget", 0, "work units per run (0 = default)");
   flags.define_i64("repeats", 5, "timed repeats; reported times = median");
@@ -373,14 +379,20 @@ int run_baseline(int argc, char** argv) {
 
   const std::string& path = flags.str("json");
   if (!path.empty()) {
-    std::FILE* out = std::fopen(path.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", path.c_str());
+    // The baseline object is the file's first line; the lines after it
+    // are recorded rows of retired benches, kept byte for byte.
+    std::string rest;
+    if (std::ifstream in(path, std::ios::binary); in) {
+      const std::string old{std::istreambuf_iterator<char>(in), {}};
+      const std::size_t eol = old.find('\n');
+      if (eol != std::string::npos) rest = old.substr(eol + 1);
+    }
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << json.str() << '\n' << rest;
+    if (!out.flush()) {
+      std::fprintf(stderr, "cannot write %s\n", path.c_str());
       return 1;
     }
-    std::fputs(json.str().c_str(), out);
-    std::fputc('\n', out);
-    std::fclose(out);
     std::printf("\nwrote %s\n", path.c_str());
   }
   return 0;

@@ -140,6 +140,8 @@ ProofChecker::ProofChecker(const cnf::CnfFormula& formula)
   const std::size_t lit_codes = (static_cast<std::size_t>(num_vars_) + 1) * 2;
   value_.assign(lit_codes, LBool::kUndef);
   watches_.resize(lit_codes);
+  occurs_.resize(lit_codes);
+  lemma_mark_.assign(lit_codes, 0);
   arena_.reserve(formula.num_literals() +
                  kHeaderWords * formula.num_clauses());
   for (const cnf::Clause& c : formula.clauses()) add_clause(c);
@@ -170,8 +172,9 @@ bool ProofChecker::propagate() {
       j += i - run;
       if (i == end) break;
       const Watch w = *i++;
-      if (arena_[w.cref + 1] != 0) continue;  // dead: drop the watch lazily
-      const std::uint32_t size = arena_[w.cref];
+      // Deleted or dormant: drop the watch lazily.
+      if (arena_[w.cref + kState] != kLive) continue;
+      const std::uint32_t size = arena_[w.cref + kSize];
       Lit* const c = lits(w.cref);
       if (c[0] == falsified) std::swap(c[0], c[1]);
       const Lit first = c[0];
@@ -216,18 +219,27 @@ void ProofChecker::rollback_to_root() {
   qhead_ = root_size_;
 }
 
-void ProofChecker::add_clause(const cnf::Clause& clause) {
+std::uint32_t ProofChecker::store(const cnf::Clause& clause) {
   const auto cref = static_cast<std::uint32_t>(arena_.size());
+  std::uint64_t sig = 0;
+  for (const Lit l : clause) sig |= std::uint64_t{1} << (l.code() % 64);
   arena_.push_back(static_cast<std::uint32_t>(clause.size()));
-  arena_.push_back(0);  // dead flag
+  arena_.push_back(kLive);
+  arena_.push_back(kNoClause);  // dependents
+  arena_.push_back(kNoClause);  // next in the subsumer's chain
+  arena_.push_back(static_cast<std::uint32_t>(sig));
+  arena_.push_back(static_cast<std::uint32_t>(sig >> 32));
   for (const Lit l : clause) arena_.push_back(l.code());
-  index_.emplace(clause_fingerprint(clause), cref);
-  if (root_falsified_) return;
+  return cref;
+}
 
+void ProofChecker::attach(std::uint32_t cref) {
+  if (root_falsified_) return;
   // Bring up to two root-non-false literals to the front.
+  const std::uint32_t size = arena_[cref + kSize];
   Lit* const c = lits(cref);
   std::size_t non_false = 0;
-  for (std::size_t i = 0; i < clause.size() && non_false < 2; ++i) {
+  for (std::size_t i = 0; i < size && non_false < 2; ++i) {
     if (value(c[i]) != LBool::kFalse) {
       std::swap(c[non_false], c[i]);
       ++non_false;
@@ -251,10 +263,20 @@ void ProofChecker::add_clause(const cnf::Clause& clause) {
   }
   watches_[c[0].code()].push_back(Watch{cref, c[1]});
   watches_[c[1].code()].push_back(Watch{cref, c[0]});
+  for (std::uint32_t k = 0; k < size; ++k) {
+    occurs_[c[k].code()].push_back(cref);
+  }
+}
+
+std::uint32_t ProofChecker::add_clause(const cnf::Clause& clause) {
+  const std::uint32_t cref = store(clause);
+  index_.emplace(clause_fingerprint(clause), cref);
+  attach(cref);
+  return cref;
 }
 
 bool ProofChecker::holds(std::uint32_t cref, const cnf::Clause& sorted) {
-  if (arena_[cref] != sorted.size()) return false;
+  if (arena_[cref + kSize] != sorted.size()) return false;
   cnf::Clause stored(lits(cref), lits(cref) + sorted.size());
   std::sort(stored.begin(), stored.end());
   return stored == sorted;
@@ -273,8 +295,87 @@ void ProofChecker::delete_clause(const cnf::Clause& clause) {
     }
   }
   if (victim == last) return;  // absent: harmless
-  arena_[victim->second + 1] = 1;  // watch lists skip-and-drop it lazily
+  const std::uint32_t cref = victim->second;
+  arena_[cref + kState] = kDead;  // watch lists skip-and-drop it lazily
   index_.erase(victim);
+  revive_dependents(cref);
+}
+
+void ProofChecker::subsume(std::uint32_t cref, const cnf::Clause& lemma) {
+  if (root_falsified_) return;
+  if (++mark_stamp_ == 0) {  // wrapped: clear stale marks
+    std::fill(lemma_mark_.begin(), lemma_mark_.end(), 0);
+    mark_stamp_ = 1;
+  }
+  std::uint32_t distinct = 0;
+  Lit rarest = lemma[0];
+  for (const Lit l : lemma) {
+    if (lemma_mark_[l.code()] == mark_stamp_) continue;
+    lemma_mark_[l.code()] = mark_stamp_;
+    ++distinct;
+    if (occurs_[l.code()].size() < occurs_[rarest.code()].size()) rarest = l;
+  }
+  const std::uint64_t sig = signature(cref);
+  // Every clause containing the lemma contains its rarest literal. The
+  // scan compacts the list over entries of clauses no longer live.
+  std::vector<std::uint32_t>& list = occurs_[rarest.code()];
+  std::size_t kept = 0;
+  for (const std::uint32_t other : list) {
+    if (arena_[other + kState] != kLive) continue;
+    if (other != cref && arena_[other + kSize] >= distinct &&
+        (signature(other) & sig) == sig && contains(other, lemma, distinct)) {
+      arena_[other + kState] = kDormant;
+      arena_[other + kNext] = arena_[cref + kDeps];
+      arena_[cref + kDeps] = other;
+      ++subsumed_;
+      continue;
+    }
+    list[kept++] = other;
+  }
+  list.resize(kept);
+}
+
+bool ProofChecker::contains(std::uint32_t cref, const cnf::Clause& lemma,
+                            std::uint32_t distinct) {
+  // A found literal is unmarked, so a repeated literal of the candidate
+  // counts once: {a a c} does not contain {a b}.
+  const std::uint32_t size = arena_[cref + kSize];
+  const Lit* const c = lits(cref);
+  std::uint32_t found = 0;
+  for (std::uint32_t k = 0; k < size && found < distinct; ++k) {
+    std::uint32_t& mark = lemma_mark_[c[k].code()];
+    if (mark == mark_stamp_) {
+      mark = 0;
+      ++found;
+    }
+  }
+  if (found > 0) {
+    for (const Lit l : lemma) lemma_mark_[l.code()] = mark_stamp_;
+  }
+  return found == distinct;
+}
+
+void ProofChecker::revive_dependents(std::uint32_t cref) {
+  for (std::uint32_t dep = arena_[cref + kDeps]; dep != kNoClause;
+       dep = arena_[dep + kNext]) {
+    if (arena_[dep + kState] != kDormant) continue;  // deleted meanwhile
+    // A fresh copy, so stale watch entries of the old one keep dropping
+    // lazily; its own dependents and its fingerprint entry follow it.
+    const cnf::Clause clause(lits(dep), lits(dep) + arena_[dep + kSize]);
+    const std::uint32_t copy = store(clause);
+    arena_[copy + kDeps] = arena_[dep + kDeps];
+    arena_[dep + kState] = kDead;
+    const auto [first, last] = index_.equal_range(clause_fingerprint(clause));
+    for (auto it = first; it != last; ++it) {
+      if (it->second == dep) {
+        it->second = copy;
+        break;
+      }
+    }
+    attach(copy);
+    ++revived_;
+  }
+  arena_[cref + kDeps] = kNoClause;
 }
 
 bool ProofChecker::rup(const cnf::Clause& clause) {
@@ -300,6 +401,11 @@ bool ProofChecker::rup(const cnf::Clause& clause) {
 
 ProofCheckResult ProofChecker::check(const ProofLog& proof) {
   ProofCheckResult result;
+  const auto done = [&]() -> ProofCheckResult& {
+    result.clauses_subsumed = subsumed_;
+    result.clauses_revived = revived_;
+    return result;
+  };
   for (std::size_t i = 0; i < proof.steps().size(); ++i) {
     const ProofStep& step = proof.steps()[i];
     if (step.deletion) {
@@ -313,17 +419,17 @@ ProofCheckResult ProofChecker::check(const ProofLog& proof) {
           << " literals)";
       result.failed_step = i;
       result.message = msg.str();
-      return result;
+      return done();
     }
     ++result.steps_checked;
     if (step.clause.empty()) {
       result.valid = true;
-      return result;
+      return done();
     }
-    add_clause(step.clause);
+    subsume(add_clause(step.clause), step.clause);
   }
   result.message = "proof ended without deriving the empty clause";
-  return result;
+  return done();
 }
 
 ProofCheckResult certify(const cnf::CnfFormula& formula,

@@ -99,6 +99,10 @@ struct ProofCheckResult {
   std::size_t steps_checked = 0;
   std::size_t failed_step = 0;  ///< index of the first bad step, if any
   std::string message;          ///< empty when valid
+  /// ProofChecker only: clauses an accepted lemma made dormant, and
+  /// dormant clauses re-attached when their subsumer was deleted.
+  std::size_t clauses_subsumed = 0;
+  std::size_t clauses_revived = 0;
 };
 
 /// Replay a refutation against `formula`: every addition must be RUP with
@@ -120,14 +124,25 @@ bool is_rup(const std::vector<cnf::Clause>& database, cnf::Var num_vars,
 /// are pushed and rolled back per check, and deletions detach lazily. A
 /// step costs one visit per watch entry of every literal its propagation
 /// falsifies, so the layout is built for the visit: clause literals sit
-/// in one flat arena (a size word, a dead flag, then the literal codes),
-/// each watch entry carries a blocker literal that is refreshed whenever
-/// the first watched literal is seen true, and truth values are read from
-/// a table indexed by literal code. Most visits find the blocker true and
-/// never touch the arena. One difference from the reference checker is
-/// deliberate: root-level implications survive the deletion of their
-/// antecedent clause (sound — the implication was already derived), so
-/// this checker accepts a superset of what the reference accepts.
+/// in one flat arena (a header, then the literal codes), each watch entry
+/// carries a blocker literal that is refreshed whenever the first watched
+/// literal is seen true, and truth values are read from a table indexed
+/// by literal code. Most visits find the blocker true and never touch the
+/// arena.
+///
+/// Each accepted lemma L makes every attached clause C ⊇ L dormant: the
+/// watch scan skips and drops C like a deleted clause, and C is chained
+/// to L. This is exact — while L is live, C never propagates or conflicts
+/// where L does not — and on distributed logs, where on-the-fly
+/// strengthening logs a stronger clause shortly after the weaker one and
+/// the weaker one's deletion is never logged, it detaches nearly the
+/// whole database. Deleting a clause re-attaches its still-dormant
+/// dependents as fresh arena copies.
+///
+/// One difference from the reference checker is deliberate: root-level
+/// implications survive the deletion of their antecedent clause (sound —
+/// the implication was already derived), so this checker accepts a
+/// superset of what the reference accepts.
 class ProofChecker {
  public:
   explicit ProofChecker(const cnf::CnfFormula& formula);
@@ -137,8 +152,15 @@ class ProofChecker {
   ProofCheckResult check(const ProofLog& proof);
 
  private:
-  /// Arena words per clause ahead of its literals: size, dead flag.
-  static constexpr std::uint32_t kHeaderWords = 2;
+  /// Arena words per clause ahead of its literals: size, state, the head
+  /// of its dependents chain, the next link in its subsumer's chain, and
+  /// a 64-bit literal signature in two words.
+  static constexpr std::uint32_t kHeaderWords = 6;
+  static constexpr std::uint32_t kSize = 0, kState = 1, kDeps = 2, kNext = 3,
+                                 kSig = 4;
+  /// Clause states; the watch scan keeps only kLive clauses.
+  static constexpr std::uint32_t kLive = 0, kDead = 1, kDormant = 2;
+  static constexpr std::uint32_t kNoClause = UINT32_MAX;  ///< chain end
 
   struct Watch {
     std::uint32_t cref;  ///< arena offset of the clause
@@ -151,13 +173,29 @@ class ProofChecker {
   [[nodiscard]] cnf::Lit* lits(std::uint32_t cref) noexcept {
     return reinterpret_cast<cnf::Lit*>(arena_.data() + cref + kHeaderWords);
   }
+  [[nodiscard]] std::uint64_t signature(std::uint32_t cref) const noexcept {
+    return arena_[cref + kSig] |
+           std::uint64_t{arena_[cref + kSig + 1]} << 32;
+  }
   /// True when the clause at `cref` has exactly the literals of `sorted`.
   [[nodiscard]] bool holds(std::uint32_t cref, const cnf::Clause& sorted);
   void enqueue(cnf::Lit l);
   bool propagate();  // true iff a conflict was reached
   void rollback_to_root();
-  void add_clause(const cnf::Clause& clause);
+  /// Append a clause to the arena (live, no dependents) and return its
+  /// offset; attach() then watches it.
+  std::uint32_t store(const cnf::Clause& clause);
+  void attach(std::uint32_t cref);
+  std::uint32_t add_clause(const cnf::Clause& clause);
   void delete_clause(const cnf::Clause& clause);
+  /// Make every live clause that contains the lemma at `cref` dormant.
+  void subsume(std::uint32_t cref, const cnf::Clause& lemma);
+  /// Exact subset test: true when the clause at `cref` contains each of
+  /// the `distinct` literals of `lemma`, which lemma_mark_ marks.
+  bool contains(std::uint32_t cref, const cnf::Clause& lemma,
+                std::uint32_t distinct);
+  /// Re-attach the still-dormant dependents of a deleted clause.
+  void revive_dependents(std::uint32_t cref);
   bool rup(const cnf::Clause& clause);
 
   cnf::Var num_vars_ = 0;
@@ -170,6 +208,14 @@ class ProofChecker {
   bool root_falsified_ = false;  // formula already refuted at level 0
   // Order-insensitive clause fingerprint -> arena offsets, for deletions.
   std::unordered_multimap<std::uint64_t, std::uint32_t> index_;
+  // Watched clauses by literal code, for subsumption candidates; entries
+  // of clauses no longer live drop lazily when the list is scanned.
+  std::vector<std::vector<std::uint32_t>> occurs_;
+  // lemma_mark_[code] == mark_stamp_ iff the code is in the current lemma.
+  std::vector<std::uint32_t> lemma_mark_;
+  std::uint32_t mark_stamp_ = 0;
+  std::size_t subsumed_ = 0;
+  std::size_t revived_ = 0;
 };
 
 /// One-call certification with the watched-literal checker.

@@ -4,9 +4,12 @@
 // soundness); DRAT rendering round-trips basics.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <optional>
 #include <sstream>
+#include <string>
 
+#include "gen/circuit_families.hpp"
 #include "gen/graph_color.hpp"
 #include "gen/pigeonhole.hpp"
 #include "gen/random_ksat.hpp"
@@ -495,6 +498,331 @@ TEST(ProofCheckerTest, MutatedProofsWithDeletionsAcceptASuperset) {
   }
 }
 
+// --- Subsumption: dormant clauses and their revival --------------------
+// certify() detaches every clause a newer lemma subsumes and re-attaches
+// it when the subsumer is deleted. These cases pin the exactness of that
+// rule on its edges; every verdict below is the one the checker gave
+// before it detached anything.
+
+// {1 2} is RUP via {1 2 ±3}; {2 3} then needs {1 2 3} once {-1} holds.
+CnfFormula revival_formula() {
+  CnfFormula f(7);
+  f.add_dimacs_clause({1, 2, 3});
+  f.add_dimacs_clause({1, 2, -3});
+  f.add_dimacs_clause({-1, 5});
+  f.add_dimacs_clause({-1, -5});
+  f.add_dimacs_clause({-2, 3, 6});
+  f.add_dimacs_clause({-2, 3, -6});
+  f.add_dimacs_clause({-3, 7});
+  f.add_dimacs_clause({-3, -7});
+  return f;
+}
+
+TEST(ProofCheckerSubsumptionTest, RevivedClauseServesALaterStep) {
+  // {1 2} makes {1 2 3} and {1 2 -3} dormant; deleting {1 2} revives
+  // both, and {2 3} needs the revived {1 2 3}.
+  const CnfFormula f = revival_formula();
+  ProofLog proof;
+  proof.add(clause_of({1, 2}));
+  proof.remove(clause_of({2, 1}));
+  proof.remove(clause_of({1, 2, -3}));  // found through the revived copy
+  proof.add(clause_of({-1}));
+  proof.add(clause_of({2, 3}));
+  proof.add(clause_of({3}));
+  proof.add_empty();
+  expect_both(f, proof, true, 7);
+  const ProofCheckResult r = certify(f, proof);
+  EXPECT_EQ(r.clauses_revived, 2u);
+  EXPECT_GE(r.clauses_subsumed, 2u);
+}
+
+TEST(ProofCheckerSubsumptionTest, DeletionFindsTheRevivedCopy) {
+  // The fingerprint index follows a revived clause to its fresh copy: once
+  // {1 2 -3} is deleted through it, {1 2} is no longer RUP.
+  CnfFormula f(4);
+  f.add_dimacs_clause({1, 2, 3});
+  f.add_dimacs_clause({1, 2, -3});
+  f.add_dimacs_clause({1, -2});
+  f.add_dimacs_clause({-1, 4});
+  f.add_dimacs_clause({-1, -4});
+  ProofLog proof;
+  proof.add(clause_of({1, 2}));
+  proof.remove(clause_of({1, 2}));
+  proof.remove(clause_of({-3, 1, 2}));
+  proof.add(clause_of({1, 2}));
+  proof.add_empty();
+  expect_both(f, proof, false, 3, 3);
+  EXPECT_EQ(certify(f, proof).clauses_revived, 2u);
+}
+
+TEST(ProofCheckerSubsumptionTest, RevivedClauseKeepsItsDependents) {
+  // {1 2 3} detaches {1 2 3 ±4}, then sleeps under {1 2} itself. Its
+  // revived copy inherits those dependents, so deleting the copy revives
+  // them, and re-deriving {1 2 3} needs them.
+  CnfFormula f(6);
+  f.add_dimacs_clause({1, 2, 3, 4});
+  f.add_dimacs_clause({1, 2, 3, -4});
+  f.add_dimacs_clause({1, 2, -3});
+  f.add_dimacs_clause({-1, 5});
+  f.add_dimacs_clause({-1, -5});
+  f.add_dimacs_clause({-2, 6});
+  f.add_dimacs_clause({-2, -6});
+  ProofLog proof;
+  proof.add(clause_of({1, 2, 3}));
+  proof.add(clause_of({1, 2}));
+  proof.remove(clause_of({1, 2}));
+  proof.remove(clause_of({1, 2, 3}));
+  proof.add(clause_of({3, 2, 1}));
+  proof.add(clause_of({1, 2}));
+  proof.add(clause_of({-1}));
+  proof.add(clause_of({-2}));
+  proof.add_empty();
+  expect_both(f, proof, true, 9);
+  EXPECT_EQ(certify(f, proof).clauses_revived, 4u);
+}
+
+TEST(ProofCheckerSubsumptionTest, DeletedDormantClauseStaysDeleted) {
+  // {1 2 3} is deleted while dormant; deleting its subsumer must not
+  // bring it back, so {2 3} is rejected where it always was.
+  const CnfFormula f = revival_formula();
+  ProofLog proof;
+  proof.add(clause_of({1, 2}));
+  proof.remove(clause_of({3, 2, 1}));
+  proof.remove(clause_of({1, 2}));
+  proof.add(clause_of({-1}));
+  proof.add(clause_of({2, 3}));
+  proof.add_empty();
+  expect_both(f, proof, false, 4, 4);
+  EXPECT_EQ(certify(f, proof).clauses_revived, 1u);
+}
+
+TEST(ProofCheckerSubsumptionTest, RepeatedLiteralIsNotASecondLiteral) {
+  // Literal codes of V2 and V34 share a signature bit, and the clauses on
+  // 2 make 1 the rarer literal of {1 2}, so {1 1 34} is a candidate that
+  // only the exact test turns away: counting the repeated 1 twice would
+  // detach {1 1 34}, which {1 34} needs.
+  CnfFormula f(36);
+  f.add_dimacs_clause({1, 1, 34});
+  f.add_dimacs_clause({1, 2, 4});
+  f.add_dimacs_clause({1, 2, -4});
+  f.add_dimacs_clause({2, 8, 9});
+  f.add_dimacs_clause({2, 8, -9});
+  f.add_dimacs_clause({2, -8, 9});
+  f.add_dimacs_clause({-1, 5});
+  f.add_dimacs_clause({-1, -5});
+  f.add_dimacs_clause({-34, 6});
+  f.add_dimacs_clause({-34, -6});
+  ProofLog proof;
+  proof.add(clause_of({1, 2}));
+  proof.add(clause_of({1, 34}));
+  proof.add(clause_of({-1}));
+  proof.add_empty();
+  expect_both(f, proof, true, 4);
+  // {1 2} detaches {1 2 ±4}; {1 34} detaches {1 1 34}.
+  EXPECT_EQ(certify(f, proof).clauses_subsumed, 3u);
+}
+
+TEST(ProofCheckerSubsumptionTest, RootUnitSubsumerRevivesItsClauses) {
+  // The unit {1} sits on the root trail, not in a watch list, yet it
+  // detaches {1 2} and {1 -2}. Deleting it revives both, satisfied by the
+  // root literal that outlives its antecedent (the superset behaviour).
+  CnfFormula f(5);
+  f.add_dimacs_clause({1, 2});
+  f.add_dimacs_clause({1, -2});
+  f.add_dimacs_clause({-1, 3, 4});
+  f.add_dimacs_clause({-1, 3, -4});
+  f.add_dimacs_clause({-1, -3, 5});
+  f.add_dimacs_clause({-1, -3, -5});
+  ProofLog proof;
+  proof.add(clause_of({1}));
+  proof.remove(clause_of({1}));
+  proof.add(clause_of({3}));
+  proof.add_empty();
+  const ProofCheckResult fast = certify(f, proof);
+  EXPECT_TRUE(fast.valid) << fast.message;
+  EXPECT_EQ(fast.steps_checked, 4u);
+  EXPECT_EQ(fast.clauses_subsumed, 2u);
+  EXPECT_EQ(fast.clauses_revived, 2u);
+  const ProofCheckResult naive = check_unsat_proof(f, proof);
+  EXPECT_FALSE(naive.valid);
+  EXPECT_EQ(naive.failed_step, 2u);
+}
+
+TEST(ProofCheckerSubsumptionTest, DuplicateLemmaRevivedWhenItsTwinIsDeleted) {
+  // The second {1 2} detaches the first; deleting {1 2} removes the
+  // newer copy and revives the older, which {1} then needs.
+  CnfFormula f(4);
+  f.add_dimacs_clause({1, 2, 3});
+  f.add_dimacs_clause({1, 2, -3});
+  f.add_dimacs_clause({1, -2});
+  f.add_dimacs_clause({-1, 4});
+  f.add_dimacs_clause({-1, -4});
+  ProofLog proof;
+  proof.add(clause_of({1, 2}));
+  proof.add(clause_of({2, 1}));
+  proof.remove(clause_of({1, 2}));
+  proof.remove(clause_of({1, 2, 3}));
+  proof.remove(clause_of({-3, 2, 1}));
+  proof.add(clause_of({1}));
+  proof.add_empty();
+  expect_both(f, proof, true, 7);
+  const ProofCheckResult r = certify(f, proof);
+  EXPECT_EQ(r.clauses_subsumed, 3u);
+  EXPECT_EQ(r.clauses_revived, 1u);
+}
+
+// Golden verdicts on single-solver proofs that carry deletions: a small
+// reduce_base makes reduce_db fire, and on-the-fly strengthening logs a
+// clause and deletes the one it strengthened. On such proofs certify()
+// accepts a superset of the reference checker, so the expected values
+// are the ones certify() gave before it detached subsumed clauses.
+struct GoldenProof {
+  const char* name;
+  CnfFormula (*make)();
+};
+
+const GoldenProof kGoldenProofs[] = {
+    {"pigeonhole_5", [] { return gen::pigeonhole_unsat(5); }},
+    {"pigeonhole_6", [] { return gen::pigeonhole_unsat(6); }},
+    {"urquhart_6", [] { return gen::urquhart_like(6, 1); }},
+    {"urquhart_8", [] { return gen::urquhart_like(8, 2); }},
+    {"random3sat_40", [] { return gen::random_ksat(40, 220, 3, 11); }},
+    {"random3sat_50", [] { return gen::random_ksat(50, 270, 3, 5); }},
+    {"chessboard_4", [] { return gen::mutilated_chessboard(4); }},
+    {"adder_miter_6", [] { return gen::adder_miter(6, false, 3); }},
+};
+
+struct GoldenRow {
+  const char* proof;
+  int trial;  ///< -1: the proof as logged; k >= 0: seeded mutation k
+  bool valid;
+  std::size_t steps_checked;
+  std::size_t failed_step;
+};
+
+const GoldenRow kGoldenRows[] = {
+    {"pigeonhole_5", -1, true, 412, 0},
+    {"pigeonhole_5", 0, false, 19, 19},
+    {"pigeonhole_5", 1, true, 412, 0},
+    {"pigeonhole_5", 2, false, 274, 0},
+    {"pigeonhole_5", 3, false, 143, 143},
+    {"pigeonhole_5", 4, false, 314, 314},
+    {"pigeonhole_5", 5, true, 412, 0},
+    {"pigeonhole_5", 6, false, 243, 0},
+    {"pigeonhole_5", 7, true, 412, 0},
+    {"pigeonhole_6", -1, true, 2203, 0},
+    {"pigeonhole_6", 0, true, 2202, 0},
+    {"pigeonhole_6", 1, true, 2203, 0},
+    {"pigeonhole_6", 2, false, 1470, 0},
+    {"pigeonhole_6", 3, true, 2203, 0},
+    {"pigeonhole_6", 4, true, 2202, 0},
+    {"pigeonhole_6", 5, false, 995, 995},
+    {"pigeonhole_6", 6, false, 1304, 0},
+    {"pigeonhole_6", 7, true, 2203, 0},
+    {"urquhart_6", -1, true, 290, 0},
+    {"urquhart_6", 0, false, 12, 12},
+    {"urquhart_6", 1, false, 6, 6},
+    {"urquhart_6", 2, false, 193, 0},
+    {"urquhart_6", 3, false, 101, 101},
+    {"urquhart_6", 4, false, 220, 220},
+    {"urquhart_6", 5, true, 290, 0},
+    {"urquhart_6", 6, false, 171, 0},
+    {"urquhart_6", 7, true, 290, 0},
+    {"urquhart_8", -1, true, 1070, 0},
+    {"urquhart_8", 0, false, 45, 45},
+    {"urquhart_8", 1, false, 24, 24},
+    {"urquhart_8", 2, false, 714, 0},
+    {"urquhart_8", 3, true, 1070, 0},
+    {"urquhart_8", 4, false, 814, 814},
+    {"urquhart_8", 5, true, 1070, 0},
+    {"urquhart_8", 6, false, 633, 0},
+    {"urquhart_8", 7, false, 537, 537},
+    {"random3sat_40", -1, true, 118, 0},
+    {"random3sat_40", 0, true, 117, 0},
+    {"random3sat_40", 1, false, 2, 2},
+    {"random3sat_40", 2, false, 78, 0},
+    {"random3sat_40", 3, true, 118, 0},
+    {"random3sat_40", 4, true, 117, 0},
+    {"random3sat_40", 5, true, 118, 0},
+    {"random3sat_40", 6, false, 69, 0},
+    {"random3sat_40", 7, true, 118, 0},
+    {"random3sat_50", -1, true, 102, 0},
+    {"random3sat_50", 0, false, 5, 5},
+    {"random3sat_50", 1, false, 4, 4},
+    {"random3sat_50", 2, false, 68, 0},
+    {"random3sat_50", 3, true, 102, 0},
+    {"random3sat_50", 4, true, 101, 0},
+    {"random3sat_50", 5, false, 47, 47},
+    {"random3sat_50", 6, false, 60, 0},
+    {"random3sat_50", 7, true, 102, 0},
+    {"chessboard_4", -1, true, 2425, 0},
+    {"chessboard_4", 0, false, 105, 105},
+    {"chessboard_4", 1, false, 54, 54},
+    {"chessboard_4", 2, false, 1618, 0},
+    {"chessboard_4", 3, true, 2425, 0},
+    {"chessboard_4", 4, true, 2424, 0},
+    {"chessboard_4", 5, true, 2425, 0},
+    {"chessboard_4", 6, false, 1435, 0},
+    {"chessboard_4", 7, false, 1221, 1221},
+    {"adder_miter_6", -1, true, 1186, 0},
+    {"adder_miter_6", 0, true, 1185, 0},
+    {"adder_miter_6", 1, true, 1186, 0},
+    {"adder_miter_6", 2, false, 791, 0},
+    {"adder_miter_6", 3, false, 441, 441},
+    {"adder_miter_6", 4, true, 1185, 0},
+    {"adder_miter_6", 5, true, 1186, 0},
+    {"adder_miter_6", 6, false, 702, 0},
+    {"adder_miter_6", 7, false, 620, 620},
+};
+
+class ProofCheckerGoldenTest : public testing::TestWithParam<GoldenProof> {};
+
+TEST_P(ProofCheckerGoldenTest, SameVerdictsAsRecorded) {
+  REQUIRE_PROOF_HOOKS();
+  const GoldenProof& golden = GetParam();
+  const CnfFormula f = golden.make();
+  SolverConfig config = proof_config();
+  config.reduce_base = 30;
+  config.reduce_growth = 1.05;
+  CdclSolver solver(f, config);
+  ASSERT_EQ(solver.solve(), SolveStatus::kUnsat);
+  std::size_t deletions = 0;
+  for (const ProofStep& step : solver.proof().steps()) {
+    deletions += step.deletion ? 1 : 0;
+  }
+  EXPECT_GT(deletions, 0u);
+  std::size_t rows = 0;
+  std::size_t revived = 0;
+  for (const GoldenRow& row : kGoldenRows) {
+    if (std::string(row.proof) != golden.name) continue;
+    ++rows;
+    ProofLog proof = solver.proof();
+    if (row.trial >= 0) {
+      util::Xoshiro256 rng(static_cast<std::uint64_t>(100 + row.trial));
+      proof = mutate(solver.proof(), static_cast<Mutation>(row.trial % 4),
+                     rng);
+    }
+    const ProofCheckResult r = certify(f, proof);
+    revived += r.clauses_revived;
+    EXPECT_TRUE(r.valid == row.valid &&
+                r.steps_checked == row.steps_checked &&
+                r.failed_step == row.failed_step)
+        << "recorded {\"" << row.proof << "\", " << row.trial << ", "
+        << row.valid << ", " << row.steps_checked << ", " << row.failed_step
+        << "}, got {\"" << golden.name << "\", " << row.trial << ", "
+        << (r.valid ? "true" : "false") << ", " << r.steps_checked << ", "
+        << r.failed_step << "},";
+  }
+  EXPECT_GE(rows, 3u);
+  EXPECT_GT(revived, 0u) << "no deletion revived a dormant clause";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Proofs, ProofCheckerGoldenTest, testing::ValuesIn(kGoldenProofs),
+    [](const testing::TestParamInfo<GoldenProof>& info) {
+      return std::string(info.param.name);
+    });
+
 // --- DistributedProofBuilder: split-tree stitching ---------------------
 
 TEST(DistributedProofBuilderTest, StitchesSiblingLeaves) {
@@ -622,6 +950,10 @@ TEST(DistributedProofTest, ParallelXorChainRefutationCertifies) {
   ASSERT_TRUE(result.proof_stitched) << result.proof_error;
   const ProofCheckResult check = certify(f, *result.proof);
   EXPECT_TRUE(check.valid) << check.message;
+  // A stitched log is adds-only and mostly subsumed by its own later
+  // lemmas; the checker must keep detaching them.
+  EXPECT_GT(check.clauses_subsumed, 0u);
+  EXPECT_EQ(check.clauses_revived, 0u);
 }
 
 TEST(DistributedProofTest, NoProofWithoutLogProof) {
