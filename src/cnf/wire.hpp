@@ -117,8 +117,9 @@ inline std::uint64_t max_lit_code(Var num_vars) {
 /// literals sorted ascending (the canonical wire order); attach rebuilds
 /// watches, so semantics are unchanged. Structural bounds are validated
 /// before any allocation so adversarial buffers fail with DecodeError
-/// instead of an out-of-memory reserve, and every literal code must lie
-/// in [2, max_code].
+/// instead of an out-of-memory reserve, every literal code must lie in
+/// [2, max_code], and runs must come in strictly ascending length, as
+/// the encoder emits them, so a decoded stream re-encodes to itself.
 inline void decode_clause_stream(util::ByteReader& in, std::vector<Clause>& out,
                                  std::uint64_t max_code = UINT32_MAX) {
   const std::uint64_t count = in.var_u64();
@@ -128,10 +129,15 @@ inline void decode_clause_stream(util::ByteReader& in, std::vector<Clause>& out,
   }
   out.reserve(out.size() + count);
   std::uint64_t emitted = 0;
+  std::uint64_t prev_len = 0;
   while (emitted < count) {
     const std::uint64_t len = in.var_u64();
     const std::uint64_t run = in.var_u64();
     if (len == 0) throw util::DecodeError("empty clause in stream");
+    if (len <= prev_len) {
+      throw util::DecodeError("clause runs out of length order");
+    }
+    prev_len = len;
     if (run == 0 || run > count - emitted) {
       throw util::DecodeError("clause run overflows stream count");
     }

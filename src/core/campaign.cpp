@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <span>
+#include <utility>
 
 #include "cnf/wire.hpp"
 #include "solver/sharing.hpp"
@@ -127,15 +128,14 @@ void Client::start_subproblem(std::shared_ptr<solver::Subproblem> sp,
       campaign_.config().checkpoint == CheckpointMode::kHeavy &&
       campaign_.config().checkpoint_chain_max > 0;
   // The simulated campaign keeps the paper's pure length filter (§3.2).
-  // The LBD rides along with each kept export: the flat path drops it,
-  // the hierarchical path ships it to the sub-master, whose inter-site
-  // digest keys on it (config.inter_site_lbd_cap).
+  // The LBD rides along with each kept export for the sub-master's
+  // inter-site digest, which keys on it (config.inter_site_lbd_cap).
   solver_->set_share_callback(
       [this, share_cap, collect_deltas](const cnf::Clause& clause,
                                         std::uint32_t lbd) {
         if (clause.size() <= share_cap) {
-          export_buffer_.push_back(clause);
-          export_lbds_.push_back(lbd);
+          exports_.clauses.push_back(clause);
+          exports_.lbds.push_back(lbd);
         }
         if (collect_deltas) ckpt_fresh_.push_back(clause);
       });
@@ -172,9 +172,9 @@ void Client::start_subproblem(std::shared_ptr<solver::Subproblem> sp,
   }
 }
 
-void Client::receive_clauses(std::shared_ptr<std::vector<cnf::Clause>> batch) {
+void Client::receive_clauses(const ClauseBatch& batch) {
   if (!alive_ || !solver_) return;  // idle clients drop stale batches
-  solver_->import_clauses(*batch);
+  solver_->import_clauses(batch.clauses);
 }
 
 void Client::grant_split(std::vector<std::size_t> peer_hosts, bool migrate) {
@@ -223,15 +223,13 @@ void Client::end_tenancy() {
   imported_accumulated_ += solver_->stats().imported_clauses;
   imported_used_accumulated_ += solver_->stats().imported_used;
   solver_.reset();
-  export_buffer_.clear();
-  export_lbds_.clear();
+  exports_ = {};
 }
 
 void Client::kill() {
   alive_ = false;
   solver_.reset();
-  export_buffer_.clear();
-  export_lbds_.clear();
+  exports_ = {};
 }
 
 void Client::sub_hello() {
@@ -329,43 +327,22 @@ void Client::check_split_triggers() {
 }
 
 void Client::flush_exports() {
-  if (export_buffer_.empty()) return;
+  if (exports_.clauses.empty()) return;
+  auto batch = std::make_shared<const ClauseBatch>(std::exchange(exports_, {}));
   const std::size_t host = host_index_;
-  const std::ptrdiff_t sub = campaign_.route_sub(host_index_);
-  if (sub < 0) {
-    auto batch = std::make_shared<std::vector<cnf::Clause>>(
-        std::move(export_buffer_));
-    export_buffer_.clear();
-    export_lbds_.clear();
-    const std::size_t bytes = Campaign::clause_batch_bytes(*batch);
-    campaign_.send(campaign_.host_endpoint(host), campaign_.root_endpoint(),
-                   Msg::kClauses, bytes, [&c = campaign_, host, batch] {
-                     c.on_client_clauses(host, batch);
-                   });
-    return;
-  }
-  // Hierarchical topology: the batch travels one intra-site hop to the
-  // sub-master, LBDs riding along for the inter-site digest filter.
-  auto batch = std::make_shared<ClauseBatch>();
-  batch->clauses = std::move(export_buffer_);
-  batch->lbds = std::move(export_lbds_);
-  export_buffer_.clear();
-  export_lbds_.clear();
-  // One extra byte per clause: the LBD tag.
-  const std::size_t bytes =
-      Campaign::clause_batch_bytes(batch->clauses) + batch->clauses.size();
-  const auto s = static_cast<std::size_t>(sub);
+  // Flat, the batch goes to the root, which relays it to every site.
+  // Under a sub-master it travels one intra-site hop, the LBDs riding
+  // along (one byte per clause) for the inter-site digest filter; a dead
+  // sub-master bounces it to the root, which relays it flat, so sharing
+  // stays best-effort and is never lost to a failure window.
+  const std::ptrdiff_t sub = campaign_.route_sub(host);
   campaign_.deliver_at_sub(
-      s, host_index_, Msg::kClauses, bytes, /*flow=*/0,
-      [&c = campaign_, s, host, batch] { c.sub_on_clauses(s, host, batch); },
-      [&c = campaign_, host, batch] {
-        // Bounced off a dead sub-master: the root relays flat, so the
-        // clauses still travel — sharing stays best-effort, never lost
-        // to a failure window.
-        auto flat = std::make_shared<std::vector<cnf::Clause>>(
-            batch->clauses);
-        c.on_client_clauses(host, flat);
-      });
+      sub, host, Msg::kClauses, Campaign::clause_batch_bytes(*batch, sub >= 0),
+      /*flow=*/0,
+      [&c = campaign_, sub, host, batch] {
+        c.sub_on_clauses(static_cast<std::size_t>(sub), host, *batch);
+      },
+      [&c = campaign_, host, batch] { c.on_client_clauses(host, batch); });
 }
 
 void Client::maybe_checkpoint() {
@@ -948,11 +925,11 @@ void Campaign::send(Endpoint from, Endpoint to, Msg kind, std::size_t bytes,
   bus_.send(header, std::move(handler));
 }
 
-std::size_t Campaign::clause_batch_bytes(
-    const std::vector<cnf::Clause>& batch) {
+std::size_t Campaign::clause_batch_bytes(const ClauseBatch& batch,
+                                         bool with_lbds) {
   std::size_t bytes = 8;
-  for (const auto& clause : batch) bytes += 2 + 4 * clause.size();
-  return bytes;
+  for (const auto& clause : batch.clauses) bytes += 2 + 4 * clause.size();
+  return with_lbds ? bytes + batch.clauses.size() : bytes;
 }
 
 void Campaign::launch_client(std::size_t host_index) {
@@ -1341,35 +1318,35 @@ void Campaign::on_sat_found(std::size_t host_index, cnf::Assignment model) {
   finish(CampaignStatus::kSat);
 }
 
-void Campaign::on_client_clauses(
-    std::size_t from, std::shared_ptr<std::vector<cnf::Clause>> batch) {
+void Campaign::on_client_clauses(std::size_t from,
+                                 std::shared_ptr<const ClauseBatch> batch) {
   if (done_) return;
   ++result_.clause_batches_shared;
-  result_.clauses_shared += batch->size();
+  result_.clauses_shared += batch->clauses.size();
   // Relay to every other live client with work in hand (§3.2: GridSAT
   // "shares clauses globally as soon as they are generated").
   fan_out_clauses(root_endpoint(), std::move(batch),
                   static_cast<std::ptrdiff_t>(from));
 }
 
-std::size_t Campaign::fan_out_clauses(
-    Endpoint from, std::shared_ptr<std::vector<cnf::Clause>> clauses,
-    std::ptrdiff_t exclude_host) {
+std::size_t Campaign::fan_out_clauses(Endpoint from,
+                                      std::shared_ptr<const ClauseBatch> batch,
+                                      std::ptrdiff_t exclude_host) {
   // The batch collector delivers all recipients reached over the same
   // link class behind one engine event (DESIGN.md §4g), so a broadcast to
   // N busy clients costs O(sites) queue operations instead of O(N).
   sim::DeliveryBatch delivery(bus_, from.id, from.site,
                               kind_id(Msg::kClauses),
-                              clause_batch_bytes(*clauses));
+                              clause_batch_bytes(*batch, /*with_lbds=*/false));
   for (std::size_t i = 0; i < clients_.size(); ++i) {
     if (static_cast<std::ptrdiff_t>(i) == exclude_host) continue;
     // A sub-master relays within its own site; the root to every site.
     if (from.sub >= 0 && site_ids_[i] != from.site) continue;
     Client* target = clients_[i].get();
     if (target == nullptr || !target->alive() || !target->busy()) continue;
-    delivery.add(endpoint_ids_[i], site_ids_[i], [this, i, clauses] {
+    delivery.add(endpoint_ids_[i], site_ids_[i], [this, i, batch] {
       Client* receiver = client(i);
-      if (receiver != nullptr) receiver->receive_clauses(clauses);
+      if (receiver != nullptr) receiver->receive_clauses(*batch);
     });
   }
   const std::size_t recipients = delivery.size();
@@ -1525,27 +1502,29 @@ std::size_t Campaign::idle_at_site(const std::string& site) const {
 
 void Campaign::try_dispatch() {
   if (done_) return;
-  if (hier_enabled()) {
-    hier_dispatch();
-    return;
+  // Bounced requests that waited at the root migrate back once their
+  // site's sub-master is re-homed; requests from uncovered sites (and
+  // every request in the flat topology) stay.
+  for (auto it = backlog_.begin(); it != backlog_.end();) {
+    const std::ptrdiff_t sub = route_sub(*it);
+    if (sub >= 0 && sub_masters_[sub].alive) {
+      sub_masters_[sub].backlog.insert(*it);
+      it = backlog_.erase(it);
+    } else {
+      ++it;
+    }
   }
-  for (;;) {
-    const bool have_work = !pending_restores_.empty() || !backlog_.empty();
-    if (!have_work) return;
+  // Root loop: restores, then root-homed split requests, against the
+  // global idle pool.
+  while (!pending_restores_.empty() || !backlog_.empty()) {
     const std::ptrdiff_t target =
         directory_.best_in_state(HostState::kIdle, config_.min_client_memory);
-    if (target < 0) {
-      // No idle client: restart one on a free host if any exists; the
-      // dispatch resumes when it registers.
-      const std::ptrdiff_t free_host = directory_.best_in_state(
-          HostState::kFree, config_.min_client_memory);
-      if (free_host >= 0) launch_client(static_cast<std::size_t>(free_host));
-      return;
-    }
+    if (target < 0) break;
     const auto target_index = static_cast<std::size_t>(target);
 
     // Checkpoint restores take priority: that part of the search space is
-    // currently covered by nobody.
+    // currently covered by nobody. They are root-homed: the carrier's site
+    // (and its sub-master) may be gone.
     if (!pending_restores_.empty()) {
       auto sp = pending_restores_.front();
       pending_restores_.pop_front();
@@ -1556,9 +1535,13 @@ void Campaign::try_dispatch() {
 
     const std::ptrdiff_t requester = pick_requester(backlog_);
     if (requester < 0) {
-      // Stale backlog entries (hosts no longer busy, or already granted).
-      backlog_.clear();
-      return;
+      // Stale backlog entries: hosts no longer busy (finished or died
+      // before a grant could land). A busy host with an outstanding grant
+      // keeps its entry for a later pass.
+      std::erase_if(backlog_, [this](std::size_t host) {
+        return directory_.at(host).state != HostState::kBusy;
+      });
+      break;
     }
     const auto requester_index = static_cast<std::size_t>(requester);
     directory_.at(target_index).state = HostState::kReserved;
@@ -1578,16 +1561,35 @@ void Campaign::try_dispatch() {
     }
 
     // Migration opportunity (§3.4): a markedly better host with idle
-    // same-site company takes the whole problem instead of half. Racing
-    // modes never migrate — a moved tenancy would break the cohort's
-    // one-child-many-racers bookkeeping for no search-space gain.
+    // same-site company takes the whole problem instead of half. Only a
+    // flat kSplit root migrates: a moved tenancy would break a racing
+    // cohort's one-child-many-racers bookkeeping for no search-space
+    // gain, and sub-masters grant splits only.
     const bool migrate =
         config_.parallel_mode == solver::ParallelMode::kSplit &&
+        !hier_enabled() &&
         directory_.rank(target_index) >
             config_.migration_rank_factor * directory_.rank(requester_index) &&
         idle_at_site(directory_.at(target_index).spec.site) + 1 >=
             config_.migration_min_idle_at_site;
     send_grant(root_endpoint(), requester_index, std::move(targets), migrate);
+  }
+  // Site-local dispatch everywhere, then cross-site brokering (both
+  // no-ops in the flat topology).
+  for (std::size_t s = 0; s < sub_masters_.size(); ++s) sub_try_dispatch(s);
+  root_broker();
+  // Work waiting with nobody idle: restart a client on a free host; the
+  // dispatch resumes when it registers.
+  bool have_work = !pending_restores_.empty() || !backlog_.empty();
+  for (const SubMaster& sm : sub_masters_) {
+    have_work = have_work || !sm.backlog.empty();
+  }
+  if (have_work &&
+      directory_.best_in_state(HostState::kIdle, config_.min_client_memory) <
+          0) {
+    const std::ptrdiff_t free_host = directory_.best_in_state(
+        HostState::kFree, config_.min_client_memory);
+    if (free_host >= 0) launch_client(static_cast<std::size_t>(free_host));
   }
 }
 
@@ -1688,7 +1690,7 @@ void Campaign::schedule_sub_master_failure(const std::string& site,
     // requests (clients re-send on SUB_HELLO), the unsent digest, and
     // the outstanding starvation claim.
     sm.backlog.clear();
-    sm.digest.clear();
+    sm.digest = {};
     sm.work_requested = false;
     starving_sites_.erase(sub);
     // The root's monitoring notices shortly afterwards, as with client
@@ -1728,17 +1730,23 @@ void Campaign::rehome_sub_master(std::size_t sub) {
   try_dispatch();
 }
 
-void Campaign::deliver_at_sub(std::size_t sub, std::size_t from_host,
+void Campaign::deliver_at_sub(std::ptrdiff_t sub, std::size_t from_host,
                               Msg kind, std::size_t bytes,
                               std::uint64_t flow, sim::Callback at_sub,
                               sim::Callback at_root) {
-  send(host_endpoint(from_host), sub_endpoint(sub), kind, bytes,
-       [this, sub, kind, bytes, flow, at_sub = std::move(at_sub),
+  if (sub < 0) {
+    send(host_endpoint(from_host), root_endpoint(), kind, bytes,
+         std::move(at_root), flow);
+    return;
+  }
+  const auto s = static_cast<std::size_t>(sub);
+  send(host_endpoint(from_host), sub_endpoint(s), kind, bytes,
+       [this, s, kind, bytes, flow, at_sub = std::move(at_sub),
         at_root = std::move(at_root)]() mutable {
-         if (!sub_masters_[sub].alive) {
+         if (!sub_masters_[s].alive) {
            // Dead sub-master: the message bounces to the root, charging
            // the extra hop, and the root-side fallback handles it.
-           send(sub_endpoint(sub), root_endpoint(), kind, bytes,
+           send(sub_endpoint(s), root_endpoint(), kind, bytes,
                 std::move(at_root), flow);
            return;
          }
@@ -1764,13 +1772,13 @@ void Campaign::send_up(std::size_t from_host, Msg kind, std::size_t bytes,
     // Shared-semantics report: it terminates at the sub-master, which
     // folds it into the next cadenced SITE_SUMMARY instead of forwarding
     // it — the root hears O(sites) summaries, not O(clients) reports.
-    deliver_at_sub(s, from_host, kind, bytes, flow,
+    deliver_at_sub(sub, from_host, kind, bytes, flow,
                    [shared] { (*shared)(); }, [shared] { (*shared)(); });
     return;
   }
   const Msg forwarded = kind == Msg::kRegister ? Msg::kSubRegister : kind;
   deliver_at_sub(
-      s, from_host, kind, bytes, flow,
+      sub, from_host, kind, bytes, flow,
       [this, s, forwarded, bytes, flow, shared] {
         send(sub_endpoint(s), root_endpoint(), forwarded, bytes,
              [shared] { (*shared)(); }, flow);
@@ -1814,15 +1822,20 @@ std::ptrdiff_t Campaign::best_idle_at_site(std::size_t sub) const {
 }
 
 void Campaign::sub_on_clauses(std::size_t sub, std::size_t from,
-                              std::shared_ptr<ClauseBatch> batch) {
+                              const ClauseBatch& batch) {
   if (done_) return;
-  SubMaster& sm = sub_masters_[sub];
   ++result_.clause_batches_shared;
-  result_.clauses_shared += batch->clauses.size();
-  auto fresh = std::make_shared<std::vector<cnf::Clause>>();
-  const std::size_t cap = config_.inter_site_lbd_cap;
-  for (std::size_t i = 0; i < batch->clauses.size(); ++i) {
-    const cnf::Clause& clause = batch->clauses[i];
+  result_.clauses_shared += batch.clauses.size();
+  sub_relay(sub, batch, static_cast<std::ptrdiff_t>(from), /*to_digest=*/true);
+}
+
+void Campaign::sub_relay(std::size_t sub, const ClauseBatch& batch,
+                         std::ptrdiff_t exclude_host, bool to_digest) {
+  SubMaster& sm = sub_masters_[sub];
+  auto fresh = std::make_shared<ClauseBatch>();
+  const std::size_t cap = to_digest ? config_.inter_site_lbd_cap : 0;
+  for (std::size_t i = 0; i < batch.clauses.size(); ++i) {
+    const cnf::Clause& clause = batch.clauses[i];
     if (!sm.filter.insert(solver::clause_fingerprint(clause))) {
       // The site has already circulated this clause (a local re-learn or
       // an earlier remote digest): suppress both the relay and the
@@ -1830,70 +1843,47 @@ void Campaign::sub_on_clauses(std::size_t sub, std::size_t from,
       ++result_.digest_clauses_deduped;
       continue;
     }
-    fresh->push_back(clause);
-    const std::uint32_t lbd = i < batch->lbds.size() ? batch->lbds[i] : 0;
-    if (cap > 0 && lbd <= cap) sm.digest.emplace_back(clause, lbd);
+    fresh->clauses.push_back(clause);
+    if (cap > 0 && batch.lbds[i] <= cap) {
+      sm.digest.clauses.push_back(clause);
+      sm.digest.lbds.push_back(batch.lbds[i]);
+    }
   }
-  if (!fresh->empty()) {
-    sub_relay(sub, fresh, static_cast<std::ptrdiff_t>(from));
+  if (fresh->clauses.empty()) return;
+  if (fan_out_clauses(sub_endpoint(sub), std::move(fresh), exclude_host) > 0) {
+    ++result_.site_relay_batches;
   }
-}
-
-void Campaign::sub_relay(std::size_t sub,
-                         std::shared_ptr<std::vector<cnf::Clause>> clauses,
-                         std::ptrdiff_t exclude_host) {
-  const std::size_t recipients =
-      fan_out_clauses(sub_endpoint(sub), std::move(clauses), exclude_host);
-  if (recipients > 0) ++result_.site_relay_batches;
 }
 
 void Campaign::flush_digest(std::size_t sub) {
   SubMaster& sm = sub_masters_[sub];
-  if (sm.digest.empty()) return;
-  auto batch = std::make_shared<ClauseBatch>();
-  batch->clauses.reserve(sm.digest.size());
-  batch->lbds.reserve(sm.digest.size());
-  for (auto& [clause, lbd] : sm.digest) {
-    batch->clauses.push_back(std::move(clause));
-    batch->lbds.push_back(lbd);
-  }
-  sm.digest.clear();
+  if (sm.digest.clauses.empty()) return;
+  auto batch =
+      std::make_shared<const ClauseBatch>(std::exchange(sm.digest, {}));
   ++result_.inter_site_digests;
   result_.digest_clauses_sent += batch->clauses.size();
-  const std::size_t bytes =
-      clause_batch_bytes(batch->clauses) + batch->clauses.size();
-  send(sub_endpoint(sub), root_endpoint(), Msg::kClauseDigest, bytes,
+  send(sub_endpoint(sub), root_endpoint(), Msg::kClauseDigest,
+       clause_batch_bytes(*batch, /*with_lbds=*/true),
        [this, sub, batch] { root_on_digest(sub, batch); });
 }
 
 void Campaign::root_on_digest(std::size_t sub,
-                              std::shared_ptr<ClauseBatch> batch) {
+                              std::shared_ptr<const ClauseBatch> batch) {
   if (done_) return;
-  const std::size_t bytes =
-      clause_batch_bytes(batch->clauses) + batch->clauses.size();
+  const std::size_t bytes = clause_batch_bytes(*batch, /*with_lbds=*/true);
   for (std::size_t s = 0; s < sub_masters_.size(); ++s) {
     if (s == sub || !sub_masters_[s].alive) continue;
     send(root_endpoint(), sub_endpoint(s), Msg::kClauseDigest, bytes,
-         [this, s, batch] { sub_on_remote_digest(s, batch); });
+         [this, s, batch] { sub_on_remote_digest(s, *batch); });
   }
 }
 
-void Campaign::sub_on_remote_digest(std::size_t sub,
-                                    std::shared_ptr<ClauseBatch> batch) {
+void Campaign::sub_on_remote_digest(std::size_t sub, const ClauseBatch& batch) {
   if (done_) return;
-  SubMaster& sm = sub_masters_[sub];
   // A dead sub-master drops the digest — sharing is best-effort, and the
   // fresh incarnation's cleared filter re-admits these clauses later.
-  if (!sm.alive) return;
-  auto fresh = std::make_shared<std::vector<cnf::Clause>>();
-  for (const cnf::Clause& clause : batch->clauses) {
-    if (sm.filter.insert(solver::clause_fingerprint(clause))) {
-      fresh->push_back(clause);
-    } else {
-      ++result_.digest_clauses_deduped;
-    }
-  }
-  if (!fresh->empty()) sub_relay(sub, fresh, -1);
+  if (!sub_masters_[sub].alive) return;
+  sub_relay(sub, batch, -1, /*to_digest=*/false);
 }
 
 void Campaign::sub_master_tick(std::size_t sub) {
@@ -2060,67 +2050,6 @@ void Campaign::root_on_broker_failed(std::size_t peer_host) {
   if (entry.state == HostState::kReserved) entry.state = HostState::kIdle;
   try_dispatch();
   check_termination();
-}
-
-void Campaign::hier_dispatch() {
-  if (done_) return;
-  // Bounced requests that waited at the root migrate back once their
-  // site's sub-master is re-homed; requests from uncovered sites stay.
-  for (auto it = backlog_.begin(); it != backlog_.end();) {
-    const std::ptrdiff_t sub = route_sub(*it);
-    if (sub >= 0 && sub_masters_[sub].alive) {
-      sub_masters_[sub].backlog.insert(*it);
-      it = backlog_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  // Restores are root-homed: the carrier's site (and its sub-master) may
-  // be gone, and that space is covered by nobody — best idle anywhere.
-  while (!pending_restores_.empty()) {
-    const std::ptrdiff_t target =
-        directory_.best_in_state(HostState::kIdle, config_.min_client_memory);
-    if (target < 0) break;
-    auto sp = pending_restores_.front();
-    pending_restores_.pop_front();
-    directory_.at(static_cast<std::size_t>(target)).state =
-        HostState::kReserved;
-    assign_subproblem(static_cast<std::size_t>(target), std::move(sp));
-  }
-  // Root-homed backlog (uncovered sites, dead-sub stragglers): flat-style
-  // grants against the global idle pool.
-  while (!backlog_.empty()) {
-    const std::ptrdiff_t target =
-        directory_.best_in_state(HostState::kIdle, config_.min_client_memory);
-    if (target < 0) break;
-    const std::ptrdiff_t requester = pick_requester(backlog_);
-    if (requester < 0) {
-      std::erase_if(backlog_, [this](std::size_t host) {
-        return directory_.at(host).state != HostState::kBusy;
-      });
-      break;
-    }
-    const auto target_index = static_cast<std::size_t>(target);
-    directory_.at(target_index).state = HostState::kReserved;
-    send_grant(root_endpoint(), static_cast<std::size_t>(requester),
-               {target_index}, /*migrate=*/false);
-  }
-  // Site-local dispatch everywhere, then cross-site brokering.
-  for (std::size_t s = 0; s < sub_masters_.size(); ++s) sub_try_dispatch(s);
-  root_broker();
-  // Work waiting with nobody idle: spin a client up on a free host, as
-  // the flat dispatcher does.
-  bool have_work = !pending_restores_.empty() || !backlog_.empty();
-  for (const SubMaster& sm : sub_masters_) {
-    have_work = have_work || !sm.backlog.empty();
-  }
-  if (have_work &&
-      directory_.best_in_state(HostState::kIdle, config_.min_client_memory) <
-          0) {
-    const std::ptrdiff_t free_host = directory_.best_in_state(
-        HostState::kFree, config_.min_client_memory);
-    if (free_host >= 0) launch_client(static_cast<std::size_t>(free_host));
-  }
 }
 
 void Campaign::check_termination() {

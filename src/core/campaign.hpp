@@ -88,10 +88,9 @@ enum class Msg : std::uint8_t {
   kCount,
 };
 
-/// One client flush in the hierarchical topology: the shared clauses plus
-/// the LBD each was learned at — the sub-master's inter-site digest filter
-/// keys on LBD (config.inter_site_lbd_cap). The flat topology ships
-/// clauses only, exactly as before.
+/// Shared clauses in transit with the LBD each was learned at, parallel
+/// to `clauses`; the sub-master's inter-site digest filter keys on it
+/// (config.inter_site_lbd_cap). Sub-master relays carry no LBDs.
 struct ClauseBatch {
   std::vector<cnf::Clause> clauses;
   std::vector<std::uint32_t> lbds;
@@ -106,7 +105,7 @@ class Client {
   void start_subproblem(std::shared_ptr<solver::Subproblem> sp,
                         double transfer_seconds,
                         solver::WireMode mode = solver::WireMode::kFull);
-  void receive_clauses(std::shared_ptr<std::vector<cnf::Clause>> batch);
+  void receive_clauses(const ClauseBatch& batch);
   /// kSplit grants one peer; kHybrid grants up to race_width peers that
   /// will all race the same split child. With `migrate`, the whole
   /// problem moves to the one peer instead (MIGRATE_ORDER).
@@ -156,10 +155,7 @@ class Client {
   std::size_t host_index_;
   std::string name_;
   std::unique_ptr<solver::CdclSolver> solver_;
-  std::vector<cnf::Clause> export_buffer_;
-  /// LBD of each buffered export, parallel to export_buffer_; shipped to
-  /// the sub-master in hierarchical mode, dropped on the flat path.
-  std::vector<std::uint32_t> export_lbds_;
+  ClauseBatch exports_;  ///< learned clauses awaiting the next flush
   std::uint64_t work_accumulated_ = 0;  ///< from finished subproblems
   /// Import accounting carried across subproblem tenancies (the live
   /// solver's counts are added on top; see clauses_imported*()).
@@ -366,13 +362,13 @@ class Campaign {
                                   const solver::Subproblem& sp) const;
   void on_sat_found(std::size_t host_index, cnf::Assignment model);
   void on_client_clauses(std::size_t from,
-                         std::shared_ptr<std::vector<cnf::Clause>> batch);
+                         std::shared_ptr<const ClauseBatch> batch);
   /// Clause fan-out from `from` over one DeliveryBatch to every live busy
   /// client except `exclude_host` (-1: nobody) — in-site only when `from`
   /// is a sub-master. Returns the number of recipients.
-  std::size_t fan_out_clauses(
-      Endpoint from, std::shared_ptr<std::vector<cnf::Clause>> clauses,
-      std::ptrdiff_t exclude_host);
+  std::size_t fan_out_clauses(Endpoint from,
+                              std::shared_ptr<const ClauseBatch> batch,
+                              std::ptrdiff_t exclude_host);
   void on_checkpoint(std::size_t host_index, Checkpoint cp);
   void send_checkpoint_nack(std::size_t host_index, std::uint64_t incarnation,
                             std::uint64_t flow);
@@ -386,6 +382,7 @@ class Campaign {
                     std::shared_ptr<solver::Subproblem> sp);
   void on_client_died(std::size_t host_index, bool was_busy);
   void on_mem_out(std::size_t host_index);
+  /// The one dispatch pass of both topologies (order: DESIGN.md §4j).
   void try_dispatch();
   /// A backlog host that can take a grant now: busy, and not already
   /// mid-negotiation under an outstanding grant.
@@ -470,7 +467,7 @@ class Campaign {
     std::uint64_t incarnation = 1;
     bool alive = true;
     solver::FingerprintFilter filter;  ///< clause dedup (relay + digest)
-    std::vector<std::pair<cnf::Clause, std::uint32_t>> digest;
+    ClauseBatch digest;  ///< inter-site clauses awaiting the next tick
     std::set<std::size_t> backlog;  ///< local hosts with pending requests
     bool work_requested = false;    ///< one WORK_REQUEST outstanding
     std::uint64_t ticks = 0;        ///< cadence counter (summary decimation)
@@ -494,31 +491,29 @@ class Campaign {
   void flush_digest(std::size_t sub);
   // Sub-master-side message handlers (delivery time).
   void sub_on_clauses(std::size_t sub, std::size_t from,
-                      std::shared_ptr<ClauseBatch> batch);
-  void sub_on_remote_digest(std::size_t sub,
-                            std::shared_ptr<ClauseBatch> batch);
+                      const ClauseBatch& batch);
+  void sub_on_remote_digest(std::size_t sub, const ClauseBatch& batch);
   void sub_on_broker(std::size_t sub, std::size_t peer_host);
-  /// In-site clause fan-out (exclude_host = the originating client, or
-  /// -1 to include everyone); counts a relay batch when anyone received.
-  void sub_relay(std::size_t sub,
-                 std::shared_ptr<std::vector<cnf::Clause>> clauses,
-                 std::ptrdiff_t exclude_host);
+  /// Dedup `batch` and fan the fresh clauses out in-site (except to
+  /// exclude_host, or -1); with `to_digest`, fresh clauses within the LBD
+  /// cap also join the site's inter-site digest.
+  void sub_relay(std::size_t sub, const ClauseBatch& batch,
+                 std::ptrdiff_t exclude_host, bool to_digest);
   /// Grant splits locally while the site has both backlog and idle
   /// hosts; request brokered work from the root when starving.
   void sub_try_dispatch(std::size_t sub);
-  /// Hier tail of try_dispatch(): local dispatch on every site, then
-  /// root-level brokering between starving and loaded sites.
-  void hier_dispatch();
+  /// Match starving sites to the site with the deepest grantable backlog.
   void root_broker();
   // Root-side handlers for sub-master traffic.
   void root_on_work_request(std::size_t sub);
   void root_on_broker_failed(std::size_t peer_host);
   void root_on_site_summary();
-  void root_on_digest(std::size_t sub, std::shared_ptr<ClauseBatch> batch);
+  void root_on_digest(std::size_t sub,
+                      std::shared_ptr<const ClauseBatch> batch);
   void rehome_sub_master(std::size_t sub);
   /// Park a split request where this topology keeps it: the site
   /// backlog when a live sub-master covers the host, the root backlog
-  /// otherwise (hier_dispatch re-homes stragglers once the sub returns).
+  /// otherwise (try_dispatch re-homes stragglers once the sub returns).
   void enqueue_split_request(std::size_t host_index);
   /// Erase a host's pending split request everywhere it could be parked
   /// (root backlog and every site backlog).
@@ -535,10 +530,10 @@ class Campaign {
   void send_up(std::size_t from_host, Msg kind, std::size_t bytes,
                sim::Callback handler, std::uint64_t flow = 0,
                bool forward_to_root = false);
-  /// Client -> sub-master send. `at_sub` runs at a live sub-master;
-  /// delivery at a dead one bounces the message to the root (extra hop
-  /// charged) and runs `at_root` there instead.
-  void deliver_at_sub(std::size_t sub, std::size_t from_host, Msg kind,
+  /// Client -> sub-master send (straight to the root when `sub` < 0).
+  /// `at_sub` runs at a live sub-master; delivery at a dead one bounces
+  /// the message to the root (extra hop charged) and runs `at_root` there.
+  void deliver_at_sub(std::ptrdiff_t sub, std::size_t from_host, Msg kind,
                       std::size_t bytes, std::uint64_t flow,
                       sim::Callback at_sub, sim::Callback at_root);
 
@@ -567,8 +562,10 @@ class Campaign {
   /// bus allocate a fresh single-hop flow (see sim::MessageHeader).
   void send(Endpoint from, Endpoint to, Msg kind, std::size_t bytes,
             sim::Callback handler, std::uint64_t flow = 0);
-  [[nodiscard]] static std::size_t clause_batch_bytes(
-      const std::vector<cnf::Clause>& batch);
+  /// Modelled batch size: 8 + Σ(2 + 4·len), plus one byte per clause on
+  /// hops that carry LBDs (client -> sub-master, digests).
+  [[nodiscard]] static std::size_t clause_batch_bytes(const ClauseBatch& batch,
+                                                      bool with_lbds);
 
   cnf::CnfFormula formula_;
   std::string master_site_;

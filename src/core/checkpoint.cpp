@@ -54,6 +54,9 @@ Checkpoint Checkpoint::from_bytes(const std::vector<std::uint8_t>& bytes) {
   }
   cnf::decode_lit_array(in, cp.assumptions);
   cnf::decode_clause_stream(in, cp.learned);
+  if (!in.exhausted()) {
+    throw util::DecodeError("trailing bytes after checkpoint payload");
+  }
   return cp;
 }
 

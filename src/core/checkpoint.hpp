@@ -86,6 +86,8 @@ struct Checkpoint {
   }
 
   [[nodiscard]] std::vector<std::uint8_t> to_bytes() const;
+  /// Decode one payload; throws util::DecodeError on malformed input, a
+  /// foreign format version or trailing bytes.
   static Checkpoint from_bytes(const std::vector<std::uint8_t>& bytes);
 
   /// Reconstruct a runnable subproblem: the original formula's clauses

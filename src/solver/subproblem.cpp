@@ -19,11 +19,14 @@ Subproblem::WireSizes Subproblem::wire_sizes() const {
   return {base_ref + problem.size(), base_ref};
 }
 
-void Subproblem::serialize(util::ByteWriter& out, WireMode mode) const {
+std::vector<std::uint8_t> Subproblem::to_bytes(WireMode mode) const {
+  util::ByteWriter out;
   serialize_to(out, mode);
+  return out.take();
 }
 
-Subproblem Subproblem::deserialize(util::ByteReader& in) {
+Subproblem Subproblem::from_bytes(const std::vector<std::uint8_t>& bytes) {
+  util::ByteReader in(bytes);
   const std::uint8_t version = in.u8();
   if (version != cnf::kWireFormatVersion) {
     throw util::DecodeError("unsupported subproblem wire version " +
@@ -70,18 +73,10 @@ Subproblem Subproblem::deserialize(util::ByteReader& in) {
     sp.num_problem_clauses = sp.clauses.size();
   }
   cnf::decode_clause_stream(in, sp.clauses, max_code);
+  if (!in.exhausted()) {
+    throw util::DecodeError("trailing bytes after subproblem payload");
+  }
   return sp;
-}
-
-std::vector<std::uint8_t> Subproblem::to_bytes(WireMode mode) const {
-  util::ByteWriter out;
-  serialize(out, mode);
-  return out.take();
-}
-
-Subproblem Subproblem::from_bytes(const std::vector<std::uint8_t>& bytes) {
-  util::ByteReader in(bytes);
-  return deserialize(in);
 }
 
 void Subproblem::rehydrate(std::span<const cnf::Clause> base) {

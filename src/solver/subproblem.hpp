@@ -20,12 +20,10 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "cnf/formula.hpp"
 #include "cnf/wire.hpp"
-#include "solver/clause_arena.hpp"
 #include "util/bytes.hpp"
 
 namespace gridsat::solver {
@@ -44,45 +42,7 @@ struct SubproblemUnit {
 enum class WireMode : std::uint8_t { kFull = 0, kBaseRef = 1 };
 
 namespace detail {
-
 inline constexpr std::uint8_t kSubproblemFlagBaseRef = 0x01;
-
-/// Shared layout for Subproblem::serialize_to and serialize_from_arena:
-/// the two clause sections are pluggable so one caller encodes from
-/// std::vector<cnf::Clause> and the other straight out of a ClauseArena,
-/// with byte-identical output.
-template <class W, class EncodeProblem, class EncodeLearned>
-void serialize_subproblem_parts(W& out, cnf::Var num_vars,
-                                std::span<const SubproblemUnit> units,
-                                std::span<const cnf::Lit> assumptions,
-                                std::string_view path,
-                                std::uint64_t base_fingerprint, WireMode mode,
-                                EncodeProblem&& encode_problem,
-                                EncodeLearned&& encode_learned) {
-  out.u8(cnf::kWireFormatVersion);
-  out.u8(mode == WireMode::kBaseRef ? kSubproblemFlagBaseRef : 0);
-  out.u32(num_vars);
-  out.var_u64(units.size());
-  for (const SubproblemUnit& u : units) out.var_u64(u.lit.code());
-  // Taint flags as a bitmap (LSB-first) instead of one byte per unit.
-  std::uint8_t acc = 0;
-  int bits = 0;
-  for (const SubproblemUnit& u : units) {
-    acc = static_cast<std::uint8_t>(acc | ((u.tainted ? 1u : 0u) << bits));
-    if (++bits == 8) {
-      out.u8(acc);
-      acc = 0;
-      bits = 0;
-    }
-  }
-  if (bits != 0) out.u8(acc);
-  cnf::encode_lit_array(out, assumptions);
-  out.str(path);
-  out.u64(base_fingerprint);
-  if (mode == WireMode::kFull) encode_problem(out);
-  encode_learned(out);
-}
-
 }  // namespace detail
 
 struct Subproblem {
@@ -137,7 +97,7 @@ struct Subproblem {
 
   /// Serialized size in bytes — the network transfer cost in the sim.
   /// Runs the real encoder against util::ByteCounter, so it equals
-  /// serialize().size() by construction.
+  /// to_bytes().size() by construction.
   [[nodiscard]] std::size_t wire_size(WireMode mode = WireMode::kFull) const;
 
   /// Sizes of both wire forms, encoding each block once: the two frames
@@ -152,24 +112,38 @@ struct Subproblem {
 
   template <class W>
   void serialize_to(W& out, WireMode mode = WireMode::kFull) const {
+    out.u8(cnf::kWireFormatVersion);
+    out.u8(mode == WireMode::kBaseRef ? detail::kSubproblemFlagBaseRef : 0);
+    out.u32(num_vars);
+    out.var_u64(units.size());
+    for (const SubproblemUnit& u : units) out.var_u64(u.lit.code());
+    // Taint flags as a bitmap (LSB-first) instead of one byte per unit.
+    std::uint8_t acc = 0;
+    int bits = 0;
+    for (const SubproblemUnit& u : units) {
+      acc = static_cast<std::uint8_t>(acc | ((u.tainted ? 1u : 0u) << bits));
+      if (++bits == 8) {
+        out.u8(acc);
+        acc = 0;
+        bits = 0;
+      }
+    }
+    if (bits != 0) out.u8(acc);
+    cnf::encode_lit_array(out, assumptions);
+    out.str(path);
+    out.u64(base_fingerprint);
     const std::span<const cnf::Clause> all(clauses);
-    detail::serialize_subproblem_parts(
-        out, num_vars, units, assumptions, path, base_fingerprint, mode,
-        [&](W& w) {
-          cnf::encode_clause_stream(
-              w, all.subspan(0, static_cast<std::size_t>(num_problem_clauses)));
-        },
-        [&](W& w) {
-          cnf::encode_clause_stream(
-              w, all.subspan(static_cast<std::size_t>(num_problem_clauses)));
-        });
+    const auto problem = static_cast<std::size_t>(num_problem_clauses);
+    if (mode == WireMode::kFull) {
+      cnf::encode_clause_stream(out, all.first(problem));
+    }
+    cnf::encode_clause_stream(out, all.subspan(problem));
   }
-
-  void serialize(util::ByteWriter& out, WireMode mode = WireMode::kFull) const;
-  static Subproblem deserialize(util::ByteReader& in);
 
   [[nodiscard]] std::vector<std::uint8_t> to_bytes(
       WireMode mode = WireMode::kFull) const;
+  /// Decode one payload; throws util::DecodeError on malformed input, a
+  /// foreign format version or trailing bytes.
   static Subproblem from_bytes(const std::vector<std::uint8_t>& bytes);
 
   /// Splice the cached base (the original formula's clauses) back into a
@@ -185,28 +159,6 @@ struct Subproblem {
   /// sharing layer keeps streaming high-value clauses anyway. Returns
   /// the number of clauses dropped.
   std::size_t trim_learned(std::size_t budget_bytes);
-
-  /// Encode a split/migration payload straight out of a ClauseArena —
-  /// byte-identical to materializing the clause vectors and calling
-  /// serialize(), without the std::vector<cnf::Clause> copy. The refs
-  /// name the live problem/learned clauses to ship, in arena order.
-  template <class W>
-  static void serialize_from_arena(
-      W& out, cnf::Var num_vars, std::span<const SubproblemUnit> units,
-      std::span<const cnf::Lit> assumptions, std::string_view path,
-      std::uint64_t base_fingerprint, WireMode mode, const ClauseArena& arena,
-      std::span<const ClauseRef> problem_refs,
-      std::span<const ClauseRef> learned_refs) {
-    const auto stream = [&arena](W& w, std::span<const ClauseRef> refs) {
-      cnf::encode_clause_stream(w, refs.size(), [&](std::size_t i) {
-        return arena.lits(refs[i]);
-      });
-    };
-    detail::serialize_subproblem_parts(
-        out, num_vars, units, assumptions, path, base_fingerprint, mode,
-        [&](W& w) { stream(w, problem_refs); },
-        [&](W& w) { stream(w, learned_refs); });
-  }
 
   friend bool operator==(const Subproblem&, const Subproblem&) = default;
 };

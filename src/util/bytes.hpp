@@ -84,7 +84,7 @@ class ByteWriter {
 /// Drop-in stand-in for ByteWriter that only counts bytes. Payload
 /// encoders are templates over the writer type (`serialize_to<W>`), so
 /// `wire_size()` runs the exact encoding logic against a counter and is
-/// equal to `serialize().size()` by construction — the scheduler and the
+/// equal to `to_bytes().size()` by construction — the scheduler and the
 /// simulated network both bill transfers off this number, so it must
 /// never drift from the real encoder.
 class ByteCounter {

@@ -1,6 +1,6 @@
 // Wire-format tests (DESIGN.md §4e): golden-bytes compatibility fixtures
-// for the v2 encoding, the wire_size() == serialize().size() property
-// over randomized payloads, byte-identity of the arena fast path, delta
+// for the v2 encoding, the wire_size() == to_bytes().size() property
+// over randomized payloads, strict decoding of hostile bytes, delta
 // checkpoint chain restores, and the campaign-level base-ref caching /
 // renegotiation / incremental-checkpoint behaviours.
 #include <gtest/gtest.h>
@@ -14,9 +14,8 @@
 #include "cnf/wire.hpp"
 #include "core/campaign.hpp"
 #include "core/checkpoint.hpp"
-#include "core/protocol.hpp"
 #include "gen/pigeonhole.hpp"
-#include "solver/clause_arena.hpp"
+#include "solver/cdcl.hpp"
 #include "solver/sharing.hpp"
 #include "solver/subproblem.hpp"
 #include "util/bytes.hpp"
@@ -32,7 +31,7 @@ using cnf::Lit;
 // change alters any of them, bump cnf::kWireFormatVersion and regenerate
 // (the fixtures are the serialized forms of the payloads built in each
 // test). Old and new binaries must never silently exchange payloads —
-// the frame's leading version byte is the gate.
+// each payload's leading version byte is the gate.
 // ---------------------------------------------------------------------------
 
 const char* const kGoldenSubproblemFull =
@@ -45,12 +44,6 @@ const char* const kGoldenSubproblemBaseRef =
 
 const char* const kGoldenCheckpointDelta =
     "020303050401040001080102010501";
-
-const char* const kGoldenRegisterFrame =
-    "02020400000005000000";
-
-const char* const kGoldenCheckpointAckFrame =
-    "021006000000070000000309";
 
 std::vector<std::uint8_t> from_hex(const char* hex) {
   const std::string s(hex);
@@ -120,26 +113,29 @@ TEST(GoldenBytesTest, CheckpointDeltaMatchesFixture) {
             cp);
 }
 
-TEST(GoldenBytesTest, ProtocolFramesMatchFixturesAndGateOnVersion) {
-  using core::protocol::Message;
-  const auto reg = core::protocol::encode(Message{core::protocol::Register{5}});
-  EXPECT_EQ(reg, from_hex(kGoldenRegisterFrame));
-  const auto ack = core::protocol::encode(
-      Message{core::protocol::CheckpointAck{7, 3, 9}});
-  EXPECT_EQ(ack, from_hex(kGoldenCheckpointAckFrame));
-
-  // Every frame leads with the format version; a binary speaking another
-  // version must reject the frame rather than misparse it.
-  ASSERT_FALSE(reg.empty());
-  EXPECT_EQ(reg[0], cnf::kWireFormatVersion);
-  auto wrong_version = reg;
-  wrong_version[0] = static_cast<std::uint8_t>(cnf::kWireFormatVersion + 1);
-  EXPECT_FALSE(core::protocol::decode(wrong_version).has_value());
+TEST(GoldenBytesTest, PayloadsGateOnVersion) {
+  // Every payload leads with the format version; a binary speaking
+  // another version must reject the payload rather than misparse it.
+  const auto next_version = [](const char* hex) {
+    std::vector<std::uint8_t> bytes = from_hex(hex);
+    EXPECT_EQ(bytes.at(0), cnf::kWireFormatVersion);
+    bytes[0] = static_cast<std::uint8_t>(cnf::kWireFormatVersion + 1);
+    return bytes;
+  };
+  EXPECT_THROW(
+      solver::Subproblem::from_bytes(next_version(kGoldenSubproblemFull)),
+      util::DecodeError);
+  EXPECT_THROW(
+      solver::Subproblem::from_bytes(next_version(kGoldenSubproblemBaseRef)),
+      util::DecodeError);
+  EXPECT_THROW(
+      core::Checkpoint::from_bytes(next_version(kGoldenCheckpointDelta)),
+      util::DecodeError);
 }
 
 // ---------------------------------------------------------------------------
 // Property: wire_size() is exact — it runs the real encoder against a
-// counting writer, so it must equal serialize().size() for arbitrary
+// counting writer, so it must equal to_bytes().size() for arbitrary
 // payloads under every mode.
 // ---------------------------------------------------------------------------
 
@@ -231,34 +227,6 @@ TEST(WirePropertyTest, CheckpointWireSizeEqualsSerializedSize) {
       cp.learned.push_back(std::move(clause));
     }
     EXPECT_EQ(cp.wire_size(), cp.to_bytes().size()) << "iteration " << i;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Arena fast path: encoding straight out of ClauseArena spans must be
-// byte-identical to materializing the clause vectors first.
-// ---------------------------------------------------------------------------
-
-TEST(WireArenaTest, SerializeFromArenaIsByteIdentical) {
-  util::Xoshiro256 rng(77);
-  for (int round = 0; round < 20; ++round) {
-    solver::Subproblem sp = random_subproblem(rng);
-    solver::ClauseArena arena;
-    std::vector<solver::ClauseRef> problem_refs;
-    std::vector<solver::ClauseRef> learned_refs;
-    for (std::size_t i = 0; i < sp.clauses.size(); ++i) {
-      const bool learned = i >= sp.num_problem_clauses;
-      const solver::ClauseRef ref = arena.alloc(sp.clauses[i], learned);
-      (learned ? learned_refs : problem_refs).push_back(ref);
-    }
-    for (const auto mode :
-         {solver::WireMode::kFull, solver::WireMode::kBaseRef}) {
-      util::ByteWriter out;
-      solver::Subproblem::serialize_from_arena(
-          out, sp.num_vars, sp.units, sp.assumptions, sp.path,
-          sp.base_fingerprint, mode, arena, problem_refs, learned_refs);
-      EXPECT_EQ(out.take(), sp.to_bytes(mode)) << "round " << round;
-    }
   }
 }
 
@@ -386,6 +354,103 @@ TEST(SubproblemDecodeTest, RejectsClauseLiteralBeyondNumVars) {
     EXPECT_THROW(solver::Subproblem::from_bytes(learned.to_bytes(mode)),
                  util::DecodeError)
         << "mode " << static_cast<int>(mode);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Hostile bytes: a decoder either rejects its input with DecodeError or
+// returns a payload whose own encoding round-trips. Any other exception
+// (or a sanitizer report) fails.
+// ---------------------------------------------------------------------------
+
+TEST(WireDecodeTest, RejectsTrailingBytes) {
+  std::vector<std::uint8_t> full = from_hex(kGoldenSubproblemFull);
+  std::vector<std::uint8_t> base_ref = from_hex(kGoldenSubproblemBaseRef);
+  std::vector<std::uint8_t> delta = from_hex(kGoldenCheckpointDelta);
+  for (auto* bytes : {&full, &base_ref, &delta}) bytes->push_back(0x00);
+  EXPECT_THROW(solver::Subproblem::from_bytes(full), util::DecodeError);
+  EXPECT_THROW(solver::Subproblem::from_bytes(base_ref), util::DecodeError);
+  EXPECT_THROW(core::Checkpoint::from_bytes(delta), util::DecodeError);
+}
+
+/// Decode `bytes`; on success, the payload must survive its own encoding.
+/// `encode` re-encodes a decoded payload (in the wire form it came in).
+template <class Payload, class Encode>
+void expect_rejected_or_round_trips(const std::vector<std::uint8_t>& bytes,
+                                    Encode encode) {
+  Payload decoded;
+  try {
+    decoded = Payload::from_bytes(bytes);
+  } catch (const util::DecodeError&) {
+    return;
+  }
+  EXPECT_EQ(Payload::from_bytes(encode(decoded)), decoded);
+}
+
+/// Every truncation of `payload`, then random 1-3 bit flips of it.
+template <class Payload, class Encode>
+void mutate_and_decode(const std::vector<std::uint8_t>& payload,
+                       util::Xoshiro256& rng, Encode encode) {
+  for (std::size_t len = 0; len < payload.size(); ++len) {
+    SCOPED_TRACE("truncated to " + std::to_string(len));
+    expect_rejected_or_round_trips<Payload>(
+        std::vector<std::uint8_t>(payload.begin(),
+                                  payload.begin() +
+                                      static_cast<std::ptrdiff_t>(len)),
+        encode);
+  }
+  for (int i = 0; i < 500; ++i) {
+    SCOPED_TRACE("bit-flip round " + std::to_string(i));
+    std::vector<std::uint8_t> mutated = payload;
+    const std::size_t flips = 1 + rng.below(3);
+    for (std::size_t f = 0; f < flips; ++f) {
+      mutated[rng.below(mutated.size())] ^=
+          static_cast<std::uint8_t>(1u << rng.below(8));
+    }
+    expect_rejected_or_round_trips<Payload>(mutated, encode);
+  }
+}
+
+TEST(WireFuzzTest, HostilePayloadsThrowOrRoundTrip) {
+  util::Xoshiro256 rng(99);
+  // A real split child, so the clause streams carry realistic runs.
+  const auto f = gen::pigeonhole_unsat(5);
+  solver::CdclSolver solver(f);
+  while (!solver.can_split() &&
+         solver.solve(200) == solver::SolveStatus::kUnknown) {
+  }
+  ASSERT_TRUE(solver.can_split());
+  solver::Subproblem sp = solver.split();
+  sp.base_fingerprint = solver::formula_fingerprint(f);
+  const auto encode_subproblem = [](const solver::Subproblem& x) {
+    return x.to_bytes(x.needs_base ? solver::WireMode::kBaseRef
+                                   : solver::WireMode::kFull);
+  };
+  const auto encode_checkpoint = [](const core::Checkpoint& x) {
+    return x.to_bytes();
+  };
+  {
+    SCOPED_TRACE("full subproblem");
+    mutate_and_decode<solver::Subproblem>(sp.to_bytes(solver::WireMode::kFull),
+                                          rng, encode_subproblem);
+  }
+  {
+    SCOPED_TRACE("base-ref subproblem");
+    mutate_and_decode<solver::Subproblem>(
+        sp.to_bytes(solver::WireMode::kBaseRef), rng, encode_subproblem);
+  }
+  {
+    SCOPED_TRACE("delta checkpoint");
+    mutate_and_decode<core::Checkpoint>(from_hex(kGoldenCheckpointDelta), rng,
+                                        encode_checkpoint);
+  }
+  // Random junk, for both decoders.
+  for (int i = 0; i < 300; ++i) {
+    std::vector<std::uint8_t> junk(rng.below(64));
+    for (auto& b : junk) b = static_cast<std::uint8_t>(rng.below(256));
+    if (!junk.empty() && rng.below(2) == 0) junk[0] = cnf::kWireFormatVersion;
+    expect_rejected_or_round_trips<solver::Subproblem>(junk, encode_subproblem);
+    expect_rejected_or_round_trips<core::Checkpoint>(junk, encode_checkpoint);
   }
 }
 
