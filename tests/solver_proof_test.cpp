@@ -681,6 +681,8 @@ struct GoldenProof {
   CnfFormula (*make)();
 };
 
+void PrintTo(const GoldenProof& g, std::ostream* os) { *os << g.name; }
+
 const GoldenProof kGoldenProofs[] = {
     {"pigeonhole_5", [] { return gen::pigeonhole_unsat(5); }},
     {"pigeonhole_6", [] { return gen::pigeonhole_unsat(6); }},
