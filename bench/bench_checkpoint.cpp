@@ -100,7 +100,7 @@ CodecTiming time_codec(const cnf::CnfFormula& f) {
   cp.incarnation = 1;
   cp.epoch = 1;
   cp.units = {{cnf::Lit(1, false), false}};
-  cp.learned.assign(f.clauses().begin(), f.clauses().end());
+  cp.learned = cnf::ClauseBlock(f.clauses());
 
   CodecTiming timing;
   timing.clauses = cp.learned.size();

@@ -47,6 +47,7 @@
 #include "util/flags.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 using namespace gridsat;  // NOLINT
 
@@ -297,7 +298,7 @@ struct LegacyHostLoad {
       : n(n), horizon(horizon), rng(seed), watchdog(n, ~std::uint64_t{0}),
         quantum_no(n, 0) {
     for (std::size_t i = 0; i < n; ++i) {
-      name.push_back("g" + std::to_string(i));
+      name.push_back(util::indexed_name("g", i));
       site.push_back("site" + std::to_string(i % kHostSites));
     }
   }

@@ -10,9 +10,11 @@
 //    emitted as (len, count) runs, so per-clause length prefixes collapse
 //    to one header per run.
 //
-// Split children arrive already canonical (CdclSolver::to_subproblem
-// sorts each clause once), so the encoder only sorts a clause that is not
-// ascending, and groups by length with a counting sort.
+// Split children and shared clauses arrive already canonical
+// (CdclSolver::to_subproblem sorts each clause once, and a client sorts
+// each clause it exports), so the encoder only sorts a clause that is not
+// ascending, and groups by length with a counting sort. Streams encode
+// from and decode into a cnf::ClauseBlock.
 //
 // Encoders are templates over the writer so the same code path runs
 // against util::ByteWriter (real bytes) and util::ByteCounter
@@ -27,6 +29,7 @@
 #include <span>
 #include <vector>
 
+#include "cnf/clause_block.hpp"
 #include "cnf/formula.hpp"
 #include "cnf/types.hpp"
 #include "util/bytes.hpp"
@@ -51,7 +54,7 @@ void encode_sorted_lits(W& out, std::span<const Lit> lits) {
 
 /// Encode `count` clauses as length-grouped runs. The clauses are
 /// addressed by index so callers can encode straight out of whatever
-/// store they own (a std::vector<Clause>, a ClauseArena span) without
+/// store they own (a ClauseBlock, a ClauseArena span) without
 /// materializing a copy: lits_of(i) returns clause i's literals, in any
 /// order, as a std::span<const Lit>. Clauses keep their relative order
 /// within a run. Empty clauses are not representable on the wire (an
@@ -107,6 +110,14 @@ void encode_clause_stream(W& out, std::span<const Clause> clauses) {
   });
 }
 
+/// Encode clauses [first, last) of a block.
+template <class W>
+void encode_clause_stream(W& out, const ClauseBlock& block, std::size_t first,
+                          std::size_t last) {
+  encode_clause_stream(out, last - first,
+                       [&](std::size_t i) { return block[first + i]; });
+}
+
 /// Largest literal code over variables 1..num_vars: the bound a decoder
 /// checks so a payload cannot name a variable its receiver does not have.
 inline std::uint64_t max_lit_code(Var num_vars) {
@@ -120,14 +131,14 @@ inline std::uint64_t max_lit_code(Var num_vars) {
 /// instead of an out-of-memory reserve, every literal code must lie in
 /// [2, max_code], and runs must come in strictly ascending length, as
 /// the encoder emits them, so a decoded stream re-encodes to itself.
-inline void decode_clause_stream(util::ByteReader& in, std::vector<Clause>& out,
+inline void decode_clause_stream(util::ByteReader& in, ClauseBlock& out,
                                  std::uint64_t max_code = UINT32_MAX) {
   const std::uint64_t count = in.var_u64();
   // Every clause carries >= 1 literal and every literal >= 1 byte.
   if (count > in.remaining()) {
     throw util::DecodeError("clause stream count exceeds buffer");
   }
-  out.reserve(out.size() + count);
+  out.reserve(out.size() + count, out.num_literals() + count);
   std::uint64_t emitted = 0;
   std::uint64_t prev_len = 0;
   while (emitted < count) {
@@ -145,8 +156,7 @@ inline void decode_clause_stream(util::ByteReader& in, std::vector<Clause>& out,
       throw util::DecodeError("clause length exceeds buffer");
     }
     for (std::uint64_t k = 0; k < run; ++k) {
-      Clause c;
-      c.reserve(len);
+      const std::span<Lit> c = out.push_uninit(len);
       std::uint32_t code = 0;
       for (std::uint64_t m = 0; m < len; ++m) {
         const std::uint64_t delta = in.var_u64();
@@ -155,9 +165,8 @@ inline void decode_clause_stream(util::ByteReader& in, std::vector<Clause>& out,
           throw util::DecodeError("literal code out of range");
         }
         code = static_cast<std::uint32_t>(next);
-        c.push_back(Lit::from_code(code));
+        c[m] = Lit::from_code(code);
       }
-      out.push_back(std::move(c));
     }
     emitted += run;
   }

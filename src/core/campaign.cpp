@@ -131,10 +131,12 @@ void Client::start_subproblem(std::shared_ptr<solver::Subproblem> sp,
   // The LBD rides along with each kept export for the sub-master's
   // inter-site digest, which keys on it (config.inter_site_lbd_cap).
   solver_->set_share_callback(
-      [this, share_cap, collect_deltas](const cnf::Clause& clause,
+      [this, share_cap, collect_deltas](std::span<const cnf::Lit> clause,
                                         std::uint32_t lbd) {
         if (clause.size() <= share_cap) {
-          exports_.clauses.push_back(clause);
+          // Canonical once here, instead of once per receiver.
+          const std::span<cnf::Lit> lits = exports_.clauses.push_back(clause);
+          std::sort(lits.begin(), lits.end());
           exports_.lbds.push_back(lbd);
         }
         if (collect_deltas) ckpt_fresh_.push_back(clause);
@@ -172,9 +174,10 @@ void Client::start_subproblem(std::shared_ptr<solver::Subproblem> sp,
   }
 }
 
-void Client::receive_clauses(const ClauseBatch& batch) {
+void Client::receive_clauses(const std::shared_ptr<const ClauseBatch>& batch) {
   if (!alive_ || !solver_) return;  // idle clients drop stale batches
-  solver_->import_clauses(batch.clauses);
+  solver_->import_clauses(
+      std::shared_ptr<const cnf::ClauseBlock>(batch, &batch->clauses));
 }
 
 void Client::grant_split(std::vector<std::size_t> peer_hosts, bool migrate) {
@@ -382,10 +385,9 @@ void Client::maybe_checkpoint() {
     // appending, so the delta must cover the whole unacked gap plus the
     // fresh clauses on its own.
     for (const auto& [epoch, clauses] : ckpt_unacked_) {
-      cp.learned.insert(cp.learned.end(), clauses.begin(), clauses.end());
+      cp.learned.append(clauses);
     }
-    cp.learned.insert(cp.learned.end(), ckpt_fresh_.begin(),
-                      ckpt_fresh_.end());
+    cp.learned.append(ckpt_fresh_);
     ckpt_unacked_.emplace_back(cp.epoch, std::move(ckpt_fresh_));
     ckpt_fresh_.clear();
     ++ckpt_deltas_since_full_;
@@ -927,8 +929,8 @@ void Campaign::send(Endpoint from, Endpoint to, Msg kind, std::size_t bytes,
 
 std::size_t Campaign::clause_batch_bytes(const ClauseBatch& batch,
                                          bool with_lbds) {
-  std::size_t bytes = 8;
-  for (const auto& clause : batch.clauses) bytes += 2 + 4 * clause.size();
+  const std::size_t bytes =
+      8 + 2 * batch.clauses.size() + 4 * batch.clauses.num_literals();
   return with_lbds ? bytes + batch.clauses.size() : bytes;
 }
 
@@ -993,7 +995,7 @@ void Campaign::on_register(std::size_t host_index) {
 std::shared_ptr<solver::Subproblem> Campaign::whole_formula() const {
   auto sp = std::make_shared<solver::Subproblem>();
   sp->num_vars = formula_.num_vars();
-  sp->clauses = formula_.clauses();
+  sp->clauses = cnf::ClauseBlock(formula_.clauses());
   sp->num_problem_clauses = sp->clauses.size();
   sp->path = "root";
   return sp;
@@ -1346,7 +1348,7 @@ std::size_t Campaign::fan_out_clauses(Endpoint from,
     if (target == nullptr || !target->alive() || !target->busy()) continue;
     delivery.add(endpoint_ids_[i], site_ids_[i], [this, i, batch] {
       Client* receiver = client(i);
-      if (receiver != nullptr) receiver->receive_clauses(*batch);
+      if (receiver != nullptr) receiver->receive_clauses(batch);
     });
   }
   const std::size_t recipients = delivery.size();
@@ -1835,7 +1837,7 @@ void Campaign::sub_relay(std::size_t sub, const ClauseBatch& batch,
   auto fresh = std::make_shared<ClauseBatch>();
   const std::size_t cap = to_digest ? config_.inter_site_lbd_cap : 0;
   for (std::size_t i = 0; i < batch.clauses.size(); ++i) {
-    const cnf::Clause& clause = batch.clauses[i];
+    const std::span<const cnf::Lit> clause = batch.clauses[i];
     if (!sm.filter.insert(solver::clause_fingerprint(clause))) {
       // The site has already circulated this clause (a local re-learn or
       // an earlier remote digest): suppress both the relay and the

@@ -90,9 +90,11 @@ enum class Msg : std::uint8_t {
 
 /// Shared clauses in transit with the LBD each was learned at, parallel
 /// to `clauses`; the sub-master's inter-site digest filter keys on it
-/// (config.inter_site_lbd_cap). Sub-master relays carry no LBDs.
+/// (config.inter_site_lbd_cap). Sub-master relays carry no LBDs. Every
+/// clause is canonical (literals ascending): the exporting client sorts
+/// it once, so no receiver's loader sorts it again.
 struct ClauseBatch {
-  std::vector<cnf::Clause> clauses;
+  cnf::ClauseBlock clauses;
   std::vector<std::uint32_t> lbds;
 };
 
@@ -105,7 +107,8 @@ class Client {
   void start_subproblem(std::shared_ptr<solver::Subproblem> sp,
                         double transfer_seconds,
                         solver::WireMode mode = solver::WireMode::kFull);
-  void receive_clauses(const ClauseBatch& batch);
+  /// Queues the batch's clauses in the solver, sharing the batch itself.
+  void receive_clauses(const std::shared_ptr<const ClauseBatch>& batch);
   /// kSplit grants one peer; kHybrid grants up to race_width peers that
   /// will all race the same split child. With `migrate`, the whole
   /// problem moves to the one peer instead (MIGRATE_ORDER).
@@ -191,10 +194,9 @@ class Client {
   /// Shipped-but-unacked delta contents by epoch: a delta must cover
   /// everything since the acked base on its own, because the master
   /// truncates its chain back to base_epoch before appending.
-  std::vector<std::pair<std::uint64_t, std::vector<cnf::Clause>>>
-      ckpt_unacked_;
+  std::vector<std::pair<std::uint64_t, cnf::ClauseBlock>> ckpt_unacked_;
   /// Clauses learned since the last checkpoint ship (delta payload).
-  std::vector<cnf::Clause> ckpt_fresh_;
+  cnf::ClauseBlock ckpt_fresh_;
   std::uint32_t trace_worker_ = 0;  ///< lane in the campaign's tracer
 };
 

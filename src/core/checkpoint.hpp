@@ -20,6 +20,7 @@
 #include <span>
 #include <vector>
 
+#include "cnf/clause_block.hpp"
 #include "cnf/formula.hpp"
 #include "cnf/wire.hpp"
 #include "solver/subproblem.hpp"
@@ -45,7 +46,7 @@ struct Checkpoint {
   std::vector<solver::SubproblemUnit> units;
   /// Learned clauses; empty for light checkpoints. For deltas, only the
   /// clauses learned since `base_epoch`.
-  std::vector<cnf::Clause> learned;
+  cnf::ClauseBlock learned;
   /// Pure guiding-path assumptions at checkpoint time (see
   /// solver::Subproblem::assumptions) — recovery must resume under the
   /// same assumption set or the certification stitch falls apart.
@@ -82,7 +83,7 @@ struct Checkpoint {
     }
     if (bits != 0) out.u8(acc);
     cnf::encode_lit_array(out, assumptions);
-    cnf::encode_clause_stream(out, std::span<const cnf::Clause>(learned));
+    cnf::encode_clause_stream(out, learned, 0, learned.size());
   }
 
   [[nodiscard]] std::vector<std::uint8_t> to_bytes() const;

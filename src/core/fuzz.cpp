@@ -6,6 +6,7 @@
 #include "gen/pigeonhole.hpp"
 #include "gen/random_ksat.hpp"
 #include "gen/xor_chains.hpp"
+#include "util/strings.hpp"
 
 namespace gridsat::core::fuzz {
 
@@ -77,7 +78,7 @@ ScenarioOutcome run_scenario(std::uint64_t seed, obs::Tracer* tracer) {
   std::vector<sim::HostSpec> hosts;
   for (std::size_t i = 0; i < num_hosts; ++i) {
     sim::HostSpec spec;
-    spec.name = "f" + std::to_string(i);
+    spec.name = util::indexed_name("f", i);
     spec.site = (i % 2 == 0) ? "east" : "west";
     spec.speed = rng.real(2000.0, 6000.0);
     spec.memory_bytes = rng.range(24, 64) * kMiB;

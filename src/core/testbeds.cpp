@@ -1,6 +1,7 @@
 #include "core/testbeds.hpp"
 
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace gridsat::core::testbeds {
 
@@ -110,7 +111,7 @@ std::vector<sim::HostSpec> synthetic_grid(std::size_t n, std::size_t sites,
     const std::size_t memory = (1 + rng.below(4)) * kMiB;
     const double base_load = rng.uniform(0.10, 0.35);
     const double jitter = rng.uniform(0.05, 0.15);
-    hosts.push_back(make_host("g" + std::to_string(i), site_name, speed,
+    hosts.push_back(make_host(util::indexed_name("g", i), site_name, speed,
                               memory, base_load, jitter, seed + 1 + i));
   }
   return hosts;
@@ -127,7 +128,7 @@ WanGrid wan_grid(std::size_t hosts_per_site, std::uint64_t seed) {
       const std::size_t memory = (2 + rng.below(3)) * kMiB;
       const double base_load = rng.uniform(0.10, 0.30);
       const double jitter = rng.uniform(0.05, 0.12);
-      grid.hosts.push_back(make_host("w" + std::to_string(n), site, speed,
+      grid.hosts.push_back(make_host(util::indexed_name("w", n), site, speed,
                                      memory, base_load, jitter,
                                      seed + 100 + n));
       ++n;

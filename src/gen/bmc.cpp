@@ -3,6 +3,7 @@
 #include <cassert>
 
 #include "gen/circuit.hpp"
+#include "util/strings.hpp"
 
 namespace gridsat::gen {
 
@@ -124,8 +125,8 @@ Netlist lfsr_equivalence(std::size_t bits, bool plant_bug) {
   // (but equivalent) expression unless a bug is planted.
   std::vector<Signal> a(bits), b(bits);
   for (std::size_t i = 0; i < bits; ++i) {
-    a[i] = net.add_latch(i == 0, "a" + std::to_string(i));
-    b[i] = net.add_latch(i == 0, "b" + std::to_string(i));
+    a[i] = net.add_latch(i == 0, util::indexed_name("a", i));
+    b[i] = net.add_latch(i == 0, util::indexed_name("b", i));
   }
   const Signal fb_a = net.add_xor(a[0], a[1]);
   // !(x ^ y) == (x & y) | (!x & !y); so x ^ y == !( ... ) — implementation
@@ -156,7 +157,7 @@ Netlist token_ring_arbiter(std::size_t stations, bool plant_bug) {
   std::vector<Signal> token(stations);
   for (std::size_t i = 0; i < stations; ++i) {
     const bool reset = (i == 0) || (plant_bug && i == 1);
-    token[i] = net.add_latch(reset, "t" + std::to_string(i));
+    token[i] = net.add_latch(reset, util::indexed_name("t", i));
   }
   for (std::size_t i = 0; i < stations; ++i) {
     net.connect(token[i], token[(i + stations - 1) % stations]);
@@ -183,7 +184,7 @@ Netlist counter_overflow(std::size_t bits) {
   const Signal enable = net.add_input("enable");
   std::vector<Signal> count(bits);
   for (std::size_t i = 0; i < bits; ++i) {
-    count[i] = net.add_latch(false, "c" + std::to_string(i));
+    count[i] = net.add_latch(false, util::indexed_name("c", i));
   }
   // next = count + enable (ripple increment gated by enable).
   Signal carry = enable;

@@ -68,7 +68,8 @@ CdclSolver::CdclSolver(const Subproblem& subproblem, SolverConfig config)
        subproblem.units);
 }
 
-void CdclSolver::init(Var num_vars, const std::vector<cnf::Clause>& clauses,
+template <class Clauses>
+void CdclSolver::init(Var num_vars, const Clauses& clauses,
                       std::size_t num_problem_clauses,
                       const std::vector<SubproblemUnit>& units) {
   num_vars_ = num_vars;
@@ -783,7 +784,7 @@ void CdclSolver::apply_otf_strengthening() {
     // addressed downstream, so the new literal set re-fingerprints here.
     if (share_cb_) {
       ++stats_.exported_clauses;
-      share_cb_(std::move(strengthened), arena_.lbd(c));
+      share_cb_(strengthened, arena_.lbd(c));
     }
   }
   otf_jobs_.clear();
@@ -813,7 +814,7 @@ void CdclSolver::learn_and_attach(const std::vector<Lit>& learned,
   if (proof_on()) proof_add(cnf::Clause(learned.begin(), learned.end()));
   if (share_cb_) {
     ++stats_.exported_clauses;
-    share_cb_(cnf::Clause(learned.begin(), learned.end()), lbd);
+    share_cb_(learned, lbd);
   }
   if (learned.size() == 1) {
     // A learned unit is a globally valid fact (all assumption
@@ -1045,26 +1046,35 @@ void CdclSolver::rewrite_refs(const ClauseArena::Remap& remap) {
 bool CdclSolver::merge_imports() {
   assert(decision_level() == 0);
   if (import_queue_.empty()) return true;
-  std::vector<cnf::Clause> batch;
-  batch.swap(import_queue_);
   obs::trace_event(tracer_, trace_worker_, obs::EventKind::kClauseImport,
-                   batch.size());
-  for (const cnf::Clause& c : batch) {
-    ++stats_.imported_clauses;
-    // Local log only: the learner's own proof_add already placed this
-    // clause in any shared sink, earlier in arrival order.
-    if (local_proof()) proof_.add(c);
-    const std::size_t clauses_before = arena_.num_learned();
-    const std::size_t trail_before = trail_.size();
-    ClauseRef imported_ref = kNoClause;
-    if (!add_clause_at_level0(c, /*learned=*/true, &imported_ref)) {
-      root_conflict_ = true;  // paper §3.2 case 3: all literals false
-      return false;
+                   pending_imports_);
+  const bool merged = [this] {
+    for (const auto& block : import_queue_) {
+      for (const std::span<const Lit> c : *block) {
+        ++stats_.imported_clauses;
+        // Local log only: the learner's own proof_add already placed this
+        // clause in any shared sink, earlier in arrival order.
+        if (local_proof()) proof_.add(cnf::Clause(c.begin(), c.end()));
+        const std::size_t clauses_before = arena_.num_learned();
+        const std::size_t trail_before = trail_.size();
+        ClauseRef imported_ref = kNoClause;
+        if (!add_clause_at_level0(c, /*learned=*/true, &imported_ref)) {
+          return false;  // paper §3.2 case 3: all literals false
+        }
+        if (imported_ref != kNoClause) arena_.mark_import(imported_ref);
+        if (arena_.num_learned() == clauses_before &&
+            trail_.size() == trail_before) {
+          ++stats_.imported_useless;  // case 4: satisfied/duplicate, discarded
+        }
+      }
     }
-    if (imported_ref != kNoClause) arena_.mark_import(imported_ref);
-    if (arena_.num_learned() == clauses_before && trail_.size() == trail_before) {
-      ++stats_.imported_useless;  // case 4: satisfied/duplicate, discarded
-    }
+    return true;
+  }();
+  import_queue_.clear();
+  pending_imports_ = 0;
+  if (!merged) {
+    root_conflict_ = true;
+    return false;
   }
   // Case 1 cascades: propagate the newly implied literals.
   if (propagate() != kNoClause) {
@@ -1344,27 +1354,26 @@ Subproblem CdclSolver::to_subproblem() const {
     occurrences += arena_.size(r);
   }
   for (std::size_t c = 1; c < first.size(); ++c) first[c] += first[c - 1];
-  std::vector<std::uint32_t> holder(occurrences);  // clause index per occurrence
-  sp.clauses.resize(shipped.size());
+  // holder[] records, per occurrence, the block slot that receives it;
+  // each clause's slots are filled in ascending code order.
+  std::vector<std::uint32_t> holder(occurrences);
+  std::vector<std::uint32_t> cursor(shipped.size());  // next free slot
+  sp.clauses.reserve(shipped.size(), occurrences);
   for (std::size_t k = 0; k < shipped.size(); ++k) {
     const auto lits = arena_.lits(shipped[k]);
-    sp.clauses[k].reserve(lits.size());
+    cursor[k] = static_cast<std::uint32_t>(sp.clauses.num_literals());
+    (void)sp.clauses.push_uninit(lits.size());
     for (const Lit l : lits) {
       holder[first[l.code()]++] = static_cast<std::uint32_t>(k);
     }
   }
   // first[c] is now the end of code c's bucket.
+  const std::span<Lit> slots = sp.clauses.literals();
   std::size_t i = 0;
   for (std::uint32_t c = 0; c + 1 < first.size(); ++c) {
-    for (; i < first[c]; ++i) sp.clauses[holder[i]].push_back(Lit::from_code(c));
+    for (; i < first[c]; ++i) slots[cursor[holder[i]]++] = Lit::from_code(c);
   }
   return sp;
-}
-
-void CdclSolver::import_clauses(std::vector<cnf::Clause> clauses) {
-  import_queue_.insert(import_queue_.end(),
-                       std::make_move_iterator(clauses.begin()),
-                       std::make_move_iterator(clauses.end()));
 }
 
 std::vector<SubproblemUnit> CdclSolver::level0_units() const {
@@ -1378,13 +1387,12 @@ std::vector<SubproblemUnit> CdclSolver::level0_units() const {
   return units;
 }
 
-std::vector<cnf::Clause> CdclSolver::learned_clauses(std::size_t max_len) const {
-  std::vector<cnf::Clause> out;
+cnf::ClauseBlock CdclSolver::learned_clauses(std::size_t max_len) const {
+  cnf::ClauseBlock out;
   arena_.for_each([&](ClauseRef r) {
     if (!arena_.learned(r)) return;
     if (max_len != 0 && arena_.size(r) > max_len) return;
-    const auto lits = arena_.lits(r);
-    out.emplace_back(lits.begin(), lits.end());
+    out.push_back(arena_.lits(r));
   });
   return out;
 }

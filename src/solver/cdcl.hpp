@@ -26,11 +26,13 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "cnf/clause_block.hpp"
 #include "cnf/formula.hpp"
 #include "obs/trace.hpp"
 #include "solver/clause_arena.hpp"
@@ -173,6 +175,8 @@ struct SolverStats {
   /// to report BCP throughput undiluted by analysis/heap work).
   std::uint64_t propagation_ns = 0;
   std::size_t peak_db_bytes = 0;
+
+  friend bool operator==(const SolverStats&, const SolverStats&) = default;
 };
 
 /// Snapshot of one conflict, for introspection (used to reproduce the
@@ -260,19 +264,28 @@ class CdclSolver {
 
   /// Callback invoked for every learned clause with its LBD (clients
   /// filter by quality — LBD and/or length — and forward on the network).
-  /// The clause is globally valid.
-  void set_share_callback(
-      std::function<void(const cnf::Clause&, std::uint32_t lbd)> cb) {
-    share_cb_ = std::move(cb);
-  }
+  /// The clause is globally valid; the span is valid during the call only.
+  using ShareCallback =
+      std::function<void(std::span<const cnf::Lit>, std::uint32_t lbd)>;
+  void set_share_callback(ShareCallback cb) { share_cb_ = std::move(cb); }
 
   /// Queue clauses received from other clients; merged in a batch the
   /// next time the solver is at decision level 0 (paper: "only ... after
-  /// the algorithm has backtracked to the first decision level").
-  void import_clauses(std::vector<cnf::Clause> clauses);
+  /// the algorithm has backtracked to the first decision level"). The
+  /// block is held, not copied, so a batch fanned out to many receivers
+  /// exists once. Any literal order is accepted; canonical (ascending)
+  /// clauses skip the loader's sort.
+  void import_clauses(std::shared_ptr<const cnf::ClauseBlock> clauses) {
+    pending_imports_ += clauses->size();
+    import_queue_.push_back(std::move(clauses));
+  }
+  /// Copying form, for a caller that keeps its block.
+  void import_clauses(const cnf::ClauseBlock& clauses) {
+    import_clauses(std::make_shared<const cnf::ClauseBlock>(clauses));
+  }
 
   [[nodiscard]] std::size_t pending_imports() const noexcept {
-    return import_queue_.size();
+    return pending_imports_;
   }
 
   // --- Level-0 state (checkpoints §3.4, termination, tests) ------------
@@ -282,7 +295,7 @@ class CdclSolver {
   /// All live learned clauses with at most `max_len` literals
   /// (max_len = 0 means no limit). Used by heavy checkpoints and by the
   /// split payload.
-  [[nodiscard]] std::vector<cnf::Clause> learned_clauses(
+  [[nodiscard]] cnf::ClauseBlock learned_clauses(
       std::size_t max_len = 0) const;
 
   // --- Introspection hooks ----------------------------------------------
@@ -375,7 +388,10 @@ class CdclSolver {
     ClauseRef cref;
   };
 
-  void init(cnf::Var num_vars, const std::vector<cnf::Clause>& clauses,
+  /// `Clauses` is std::vector<cnf::Clause> or cnf::ClauseBlock: both
+  /// index to something a std::span<const cnf::Lit> binds to.
+  template <class Clauses>
+  void init(cnf::Var num_vars, const Clauses& clauses,
             std::size_t num_problem_clauses,
             const std::vector<SubproblemUnit>& units);
 
@@ -576,8 +592,10 @@ class CdclSolver {
   std::uint32_t memory_squeezes_ = 0;
 
   // Sharing.
-  std::vector<cnf::Clause> import_queue_;
-  std::function<void(const cnf::Clause&, std::uint32_t)> share_cb_;
+  /// Imported blocks awaiting the next level-0 merge, in arrival order.
+  std::vector<std::shared_ptr<const cnf::ClauseBlock>> import_queue_;
+  std::size_t pending_imports_ = 0;  ///< clauses over import_queue_
+  ShareCallback share_cb_;
 
   std::function<void(const ConflictRecord&)> conflict_observer_;
   std::function<cnf::Lit()> decision_hook_;

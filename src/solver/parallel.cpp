@@ -87,7 +87,7 @@ ParallelResult ParallelSolver::solve() {
   // Seed the queue with the whole problem.
   Subproblem root;
   root.num_vars = formula_.num_vars();
-  root.clauses = formula_.clauses();
+  root.clauses = cnf::ClauseBlock(formula_.clauses());
   root.num_problem_clauses = root.clauses.size();
   root.path = "root";
   push_work(std::move(root));
@@ -163,16 +163,16 @@ void ParallelSolver::push_work(Subproblem sp) {
 }
 
 std::size_t ParallelSolver::publish_clauses(std::size_t worker_index,
-                                            std::vector<SharedClause> batch) {
+                                            const cnf::ClauseBlock& batch) {
   if (batch.empty()) return 0;
   // Duplicate suppression happens before the shard lock: the fingerprint
   // table is lock-free, so the (global) dedup step adds no serialization.
-  std::vector<SharedClause> fresh;
-  fresh.reserve(batch.size());
+  cnf::ClauseBlock fresh;
+  fresh.reserve(batch.size(), batch.num_literals());
   std::size_t dropped = 0;
-  for (SharedClause& sc : batch) {
-    if (dedup_->insert(clause_fingerprint(sc.lits))) {
-      fresh.push_back(std::move(sc));
+  for (const std::span<const cnf::Lit> c : batch) {
+    if (dedup_->insert(clause_fingerprint(c))) {
+      fresh.push_back(c);
     } else {
       ++dropped;
     }
@@ -182,7 +182,7 @@ std::size_t ParallelSolver::publish_clauses(std::size_t worker_index,
     obs::trace_event(options_.tracer, trace_id(worker_index),
                      obs::EventKind::kClauseDedup, dropped);
   }
-  const std::size_t n = pool_->publish(worker_index, std::move(fresh));
+  const std::size_t n = pool_->publish(worker_index, fresh);
   published_ctr_->add(n);
   // Dedup epoch: forget all fingerprints every dedup_clear_every admitted
   // publishes, so a clause every importer has since evicted can be shared
@@ -326,19 +326,19 @@ void ParallelSolver::race_round(std::size_t worker_index, RaceGroup& group,
   solver.set_tracer(options_.tracer, trace_id(worker_index));
   solver.set_cancel_flag(&group.cancel);
   if (proof_builder_) solver.set_proof_sink(proof_builder_.get());
-  std::vector<SharedClause> exports;
+  cnf::ClauseBlock exports;
   const std::size_t max_len = options_.share_max_len;
   const std::uint32_t max_lbd = options_.share_max_lbd;
   solver.set_share_callback(
-      [&exports, max_len, max_lbd](const cnf::Clause& c, std::uint32_t lbd) {
+      [&exports, max_len, max_lbd](std::span<const cnf::Lit> c,
+                                    std::uint32_t lbd) {
         if ((max_len > 0 && c.size() <= max_len) ||
             (max_lbd > 0 && lbd <= max_lbd)) {
-          exports.push_back(SharedClause{c, lbd});
+          exports.push_back(c);
         }
       });
   SharedClausePool::Cursor cursor = pool_->make_cursor();
   pool_->skip_to_now(cursor);
-  std::vector<SharedClause> incoming;
   const bool leader = worker_index % race_width_ == 0;
 
   for (;;) {
@@ -355,7 +355,7 @@ void ParallelSolver::race_round(std::size_t worker_index, RaceGroup& group,
     const SolveStatus status = solver.solve(options_.slice_work);
     work_ctr_->add(solver.stats().work - before);
     imported_used_ctr_->add(solver.stats().imported_used - used_before);
-    publish_clauses(worker_index, std::move(exports));
+    publish_clauses(worker_index, exports);
     exports.clear();
     switch (status) {
       case SolveStatus::kSat: {
@@ -399,13 +399,11 @@ void ParallelSolver::race_round(std::size_t worker_index, RaceGroup& group,
       case SolveStatus::kUnknown:
         break;  // cancelled mid-slice, or just cooperating
     }
-    incoming.clear();
+    cnf::ClauseBlock incoming;
     if (pool_->collect(worker_index, cursor, incoming) > 0) {
-      std::vector<cnf::Clause> fresh;
-      fresh.reserve(incoming.size());
-      for (SharedClause& sc : incoming) fresh.push_back(std::move(sc.lits));
-      imported_ctr_->add(fresh.size());
-      solver.import_clauses(std::move(fresh));
+      imported_ctr_->add(incoming.size());
+      solver.import_clauses(
+          std::make_shared<const cnf::ClauseBlock>(std::move(incoming)));
     }
     // Only the cohort leader splits (kHybrid with multiple cohorts; in
     // kPortfolio nobody is ever hungry, so no splits happen): a member's
@@ -431,16 +429,17 @@ void ParallelSolver::run_subproblem(std::size_t worker_index,
   solver.set_tracer(options_.tracer, trace_id(worker_index));
   solver.set_cancel_flag(&stop_);
   if (proof_builder_) solver.set_proof_sink(proof_builder_.get());
-  std::vector<SharedClause> exports;
+  cnf::ClauseBlock exports;
   const std::size_t max_len = options_.share_max_len;
   const std::uint32_t max_lbd = options_.share_max_lbd;
   solver.set_share_callback(
-      [&exports, max_len, max_lbd](const cnf::Clause& c, std::uint32_t lbd) {
+      [&exports, max_len, max_lbd](std::span<const cnf::Lit> c,
+                                    std::uint32_t lbd) {
         // Quality filter: short clauses are always cheap to ship; long
         // ones must earn it with a low LBD.
         if ((max_len > 0 && c.size() <= max_len) ||
             (max_lbd > 0 && lbd <= max_lbd)) {
-          exports.push_back(SharedClause{c, lbd});
+          exports.push_back(c);
         }
       });
   // Start reading from "now": clauses this subproblem should know about
@@ -448,7 +447,6 @@ void ParallelSolver::run_subproblem(std::size_t worker_index,
   // mostly ship duplicates.
   SharedClausePool::Cursor cursor = pool_->make_cursor();
   pool_->skip_to_now(cursor);
-  std::vector<SharedClause> incoming;
 
   for (;;) {
     if (stop_.load()) return;
@@ -457,7 +455,7 @@ void ParallelSolver::run_subproblem(std::size_t worker_index,
     const SolveStatus status = solver.solve(options_.slice_work);
     work_ctr_->add(solver.stats().work - before);
     imported_used_ctr_->add(solver.stats().imported_used - used_before);
-    publish_clauses(worker_index, std::move(exports));
+    publish_clauses(worker_index, exports);
     exports.clear();
     switch (status) {
       case SolveStatus::kSat: {
@@ -499,13 +497,11 @@ void ParallelSolver::run_subproblem(std::size_t worker_index,
     }
     // Import what others published while we were solving. Only shards
     // with news are touched (and only their new suffix is copied).
-    incoming.clear();
+    cnf::ClauseBlock incoming;
     if (pool_->collect(worker_index, cursor, incoming) > 0) {
-      std::vector<cnf::Clause> fresh;
-      fresh.reserve(incoming.size());
-      for (SharedClause& sc : incoming) fresh.push_back(std::move(sc.lits));
-      imported_ctr_->add(fresh.size());
-      solver.import_clauses(std::move(fresh));
+      imported_ctr_->add(incoming.size());
+      solver.import_clauses(
+          std::make_shared<const cnf::ClauseBlock>(std::move(incoming)));
     }
     // Feed starving workers.
     if (hungry_workers_.load() > 0 && solver.can_split()) {

@@ -172,7 +172,7 @@ class ParallelSolver {
 
   /// Dedup + append to the worker's own shard; returns clauses admitted.
   std::size_t publish_clauses(std::size_t worker_index,
-                              std::vector<SharedClause> batch);
+                              const cnf::ClauseBlock& batch);
 
   const cnf::CnfFormula& formula_;
   ParallelOptions options_;

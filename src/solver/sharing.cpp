@@ -91,14 +91,13 @@ std::unique_lock<std::mutex> SharedClausePool::counted_lock(
 }
 
 std::size_t SharedClausePool::publish(std::size_t shard,
-                                      std::vector<SharedClause> batch) {
+                                      const cnf::ClauseBlock& batch) {
   if (batch.empty()) return 0;
   Shard& s = shards_[shard];
   const std::size_t n = batch.size();
   {
     const auto lock = counted_lock(s);
-    s.clauses.insert(s.clauses.end(), std::make_move_iterator(batch.begin()),
-                     std::make_move_iterator(batch.end()));
+    s.clauses.append(batch);
     // Publish the new count only after the elements are in place; readers
     // acquire-load it before touching the vector.
     s.published.store(s.clauses.size(), std::memory_order_release);
@@ -123,7 +122,7 @@ void SharedClausePool::skip_to_now(Cursor& cursor) const noexcept {
 }
 
 std::size_t SharedClausePool::collect(std::size_t self, Cursor& cursor,
-                                      std::vector<SharedClause>& out) {
+                                      cnf::ClauseBlock& out) {
   std::size_t copied = 0;
   for (std::size_t i = 0; i < num_shards_; ++i) {
     if (i == self) continue;  // own clauses are already in the solver's DB
@@ -132,9 +131,7 @@ std::size_t SharedClausePool::collect(std::size_t self, Cursor& cursor,
     const std::size_t avail = s.published.load(std::memory_order_acquire);
     if (avail <= cursor[i]) continue;
     const auto lock = counted_lock(s);
-    out.insert(out.end(),
-               s.clauses.begin() + static_cast<std::ptrdiff_t>(cursor[i]),
-               s.clauses.begin() + static_cast<std::ptrdiff_t>(avail));
+    out.append(s.clauses, cursor[i], avail);
     copied += avail - cursor[i];
     cursor[i] = avail;
   }

@@ -23,6 +23,7 @@
 #include <span>
 #include <vector>
 
+#include "cnf/clause_block.hpp"
 #include "cnf/formula.hpp"
 #include "obs/trace.hpp"
 
@@ -73,13 +74,6 @@ class FingerprintFilter {
   std::size_t mask_;
 };
 
-/// One exchanged clause: literal set plus the quality metric the
-/// receiving side may use for its own DB tiering.
-struct SharedClause {
-  cnf::Clause lits;
-  std::uint32_t lbd = 0;
-};
-
 /// Sharded append-only publish buffers. Shard s is written only by
 /// worker s (under that shard's mutex) and read by everyone else through
 /// per-reader cursors, so the lock held during an import copy is the
@@ -92,7 +86,7 @@ class SharedClausePool {
 
   /// Append a batch to `shard` (the caller's own). Returns the number of
   /// clauses appended.
-  std::size_t publish(std::size_t shard, std::vector<SharedClause> batch);
+  std::size_t publish(std::size_t shard, const cnf::ClauseBlock& batch);
 
   /// One read position per shard.
   using Cursor = std::vector<std::size_t>;
@@ -104,7 +98,7 @@ class SharedClausePool {
   /// Append every clause published since `cursor` by shards other than
   /// `self` into `out`; advances the cursor. Returns the number copied.
   std::size_t collect(std::size_t self, Cursor& cursor,
-                      std::vector<SharedClause>& out);
+                      cnf::ClauseBlock& out);
 
   /// Total clauses published across all shards (relaxed snapshot).
   [[nodiscard]] std::uint64_t size() const noexcept;
@@ -119,7 +113,7 @@ class SharedClausePool {
  private:
   struct Shard {
     std::mutex mutex;
-    std::vector<SharedClause> clauses;           // guarded by mutex
+    cnf::ClauseBlock clauses;                    // guarded by mutex
     std::atomic<std::size_t> published{0};       // release after append
     std::atomic<std::uint64_t> contention{0};
   };

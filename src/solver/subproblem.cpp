@@ -12,9 +12,8 @@ std::size_t Subproblem::wire_size(WireMode mode) const {
 
 Subproblem::WireSizes Subproblem::wire_sizes() const {
   util::ByteCounter problem;
-  cnf::encode_clause_stream(
-      problem, std::span<const cnf::Clause>(clauses).first(
-                   static_cast<std::size_t>(num_problem_clauses)));
+  cnf::encode_clause_stream(problem, clauses, 0,
+                            static_cast<std::size_t>(num_problem_clauses));
   const std::size_t base_ref = wire_size(WireMode::kBaseRef);
   return {base_ref + problem.size(), base_ref};
 }
@@ -80,7 +79,9 @@ Subproblem Subproblem::from_bytes(const std::vector<std::uint8_t>& bytes) {
 }
 
 void Subproblem::rehydrate(std::span<const cnf::Clause> base) {
-  clauses.insert(clauses.begin(), base.begin(), base.end());
+  cnf::ClauseBlock spliced(base);
+  spliced.append(clauses);
+  clauses = std::move(spliced);
   num_problem_clauses = base.size();
   needs_base = false;
 }
@@ -88,10 +89,12 @@ void Subproblem::rehydrate(std::span<const cnf::Clause> base) {
 std::size_t Subproblem::trim_learned(std::size_t budget_bytes) {
   const auto first = static_cast<std::size_t>(num_problem_clauses);
   if (first >= clauses.size()) return 0;
-  std::stable_sort(clauses.begin() + static_cast<std::ptrdiff_t>(first),
-                   clauses.end(),
-                   [](const cnf::Clause& a, const cnf::Clause& b) {
-                     return a.size() < b.size();
+  // Learned clause indices, shortest first (stable within a length).
+  std::vector<std::size_t> order(clauses.size() - first);
+  for (std::size_t k = 0; k < order.size(); ++k) order[k] = first + k;
+  std::stable_sort(order.begin(), order.end(),
+                   [this](std::size_t a, std::size_t b) {
+                     return clauses[a].size() < clauses[b].size();
                    });
   // Charge an upper bound on the encoded stream. Each literal costs its
   // raw code varint (a sorted gap is never wider than the code it
@@ -106,23 +109,29 @@ std::size_t Subproblem::trim_learned(std::size_t budget_bytes) {
     while ((v >>= 7) != 0) ++n;
     return n;
   };
-  const std::size_t count_bytes = varint_size(clauses.size() - first);
+  const std::size_t count_bytes = varint_size(order.size());
   std::size_t headers = count_bytes;
   std::size_t literals = 0;
-  std::size_t keep = first;
-  for (; keep < clauses.size(); ++keep) {
-    const cnf::Clause& c = clauses[keep];
-    const bool new_run = keep == first || c.size() != clauses[keep - 1].size();
+  std::size_t keep = 0;
+  for (; keep < order.size(); ++keep) {
+    const std::span<const cnf::Lit> c = clauses[order[keep]];
+    const bool new_run =
+        keep == 0 || c.size() != clauses[order[keep - 1]].size();
     const std::size_t h =
         headers + (new_run ? varint_size(c.size()) + count_bytes : 0);
     std::size_t l = literals;
     for (const cnf::Lit lit : c) l += varint_size(lit.code());
-    if (std::max(keep - first + 1, h) + l > budget_bytes) break;
+    if (std::max(keep + 1, h) + l > budget_bytes) break;
     headers = h;
     literals = l;
   }
-  const std::size_t dropped = clauses.size() - keep;
-  clauses.resize(keep);
+  const std::size_t dropped = order.size() - keep;
+  if (dropped == 0 && std::is_sorted(order.begin(), order.end())) return 0;
+  cnf::ClauseBlock trimmed;
+  trimmed.reserve(first + keep, clauses.num_literals());
+  trimmed.append(clauses, 0, first);
+  for (std::size_t k = 0; k < keep; ++k) trimmed.push_back(clauses[order[k]]);
+  clauses = std::move(trimmed);
   return dropped;
 }
 

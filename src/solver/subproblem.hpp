@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "cnf/clause_block.hpp"
 #include "cnf/formula.hpp"
 #include "cnf/wire.hpp"
 #include "util/bytes.hpp"
@@ -56,7 +57,7 @@ struct Subproblem {
   /// and decoded payloads hold each clause in canonical order (literals
   /// ascending), which lets sizing and loading skip their sorts; any
   /// order is still accepted.
-  std::vector<cnf::Clause> clauses;
+  cnf::ClauseBlock clauses;
   std::uint64_t num_problem_clauses = 0;
   /// The *pure* guiding-path assumptions: the split decisions themselves,
   /// in split order, without the tainted consequences that `units` also
@@ -132,12 +133,11 @@ struct Subproblem {
     cnf::encode_lit_array(out, assumptions);
     out.str(path);
     out.u64(base_fingerprint);
-    const std::span<const cnf::Clause> all(clauses);
     const auto problem = static_cast<std::size_t>(num_problem_clauses);
     if (mode == WireMode::kFull) {
-      cnf::encode_clause_stream(out, all.first(problem));
+      cnf::encode_clause_stream(out, clauses, 0, problem);
     }
-    cnf::encode_clause_stream(out, all.subspan(problem));
+    cnf::encode_clause_stream(out, clauses, problem, clauses.size());
   }
 
   [[nodiscard]] std::vector<std::uint8_t> to_bytes(

@@ -105,6 +105,12 @@ std::string format_bytes(double bytes) {
   return buf;
 }
 
+std::string indexed_name(std::string_view prefix, std::size_t index) {
+  std::string name(prefix);
+  name += std::to_string(index);
+  return name;
+}
+
 std::string pad_right(std::string s, std::size_t width) {
   if (s.size() < width) s.append(width - s.size(), ' ');
   return s;

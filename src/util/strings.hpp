@@ -30,6 +30,11 @@ std::string format_duration(double seconds);
 /// Render a byte count as "512 B" / "3.2 MB" / "1.1 GB".
 std::string format_bytes(double bytes);
 
+/// `prefix` followed by the decimal `index`, e.g. "a3" (generated net and
+/// host names). Built by appending: GCC 12 in a Release (-O3) build flags
+/// `"a" + std::to_string(i)` with a false -Wrestrict.
+std::string indexed_name(std::string_view prefix, std::size_t index);
+
 /// Left/right pad to a column width (bench table printers).
 std::string pad_right(std::string s, std::size_t width);
 std::string pad_left(std::string s, std::size_t width);

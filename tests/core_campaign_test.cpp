@@ -15,6 +15,7 @@
 #include "gen/pigeonhole.hpp"
 #include "gen/random_ksat.hpp"
 #include "gen/xor_chains.hpp"
+#include "util/strings.hpp"
 
 namespace gridsat::core {
 namespace {
@@ -28,7 +29,7 @@ std::vector<sim::HostSpec> tiny_testbed() {
   std::vector<sim::HostSpec> hosts;
   for (int i = 0; i < 4; ++i) {
     sim::HostSpec spec;
-    spec.name = "h" + std::to_string(i);
+    spec.name = util::indexed_name("h", i);
     spec.site = i < 2 ? "east" : "west";
     spec.speed = 3000.0 + 500.0 * i;
     spec.memory_bytes = 32 * kMiB;
@@ -463,7 +464,7 @@ TEST(CampaignFailureTest, InFlightSplitPayloadBlocksPrematureUnsat) {
   std::vector<sim::HostSpec> hosts;
   for (int i = 0; i < 2; ++i) {
     sim::HostSpec spec;
-    spec.name = "h" + std::to_string(i);
+    spec.name = util::indexed_name("h", i);
     spec.site = i == 0 ? "east" : "west";
     spec.speed = 3000.0;
     spec.memory_bytes = 32 * kMiB;
@@ -536,7 +537,7 @@ TEST(CampaignFailureTest, StaleCheckpointIsNotRecoveredOnReusedHost) {
   std::vector<sim::HostSpec> hosts;
   for (int i = 0; i < 2; ++i) {
     sim::HostSpec spec;
-    spec.name = "h" + std::to_string(i);
+    spec.name = util::indexed_name("h", i);
     spec.site = "east";
     spec.speed = 3000.0 + 500.0 * i;
     spec.memory_bytes = 32 * kMiB;

@@ -35,8 +35,8 @@ TEST(CheckpointTest, RoundTripCanonicalizesClauseOrder) {
   const Checkpoint back = Checkpoint::from_bytes(cp.to_bytes());
   // Same clause multiset, canonical order: short clauses first, sorted
   // literal codes inside each clause.
-  const std::vector<cnf::Clause> expect = {{Lit(4, true)},
-                                           {Lit(2, false), Lit(3, true)}};
+  const cnf::ClauseBlock expect = {{Lit(4, true)},
+                                   {Lit(2, false), Lit(3, true)}};
   EXPECT_EQ(back.learned, expect);
   // Round-tripping the canonical form is a fixpoint.
   EXPECT_EQ(Checkpoint::from_bytes(back.to_bytes()), back);

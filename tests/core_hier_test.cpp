@@ -19,6 +19,7 @@
 #include "gen/xor_chains.hpp"
 #include "obs/metrics.hpp"
 #include "solver/proof.hpp"
+#include "util/strings.hpp"
 
 namespace gridsat::core {
 namespace {
@@ -113,7 +114,7 @@ TEST(HierTest, RootBrokersSplitsTowardStarvingSite) {
   std::vector<sim::HostSpec> hosts;
   for (int i = 0; i < 4; ++i) {
     sim::HostSpec spec;
-    spec.name = "h" + std::to_string(i);
+    spec.name = util::indexed_name("h", i);
     spec.site = i == 0 ? "solo" : "farm";
     spec.speed = 3000.0;
     spec.memory_bytes = 32 * kMiB;

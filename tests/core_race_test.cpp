@@ -15,6 +15,7 @@
 #include "gen/random_ksat.hpp"
 #include "gen/xor_chains.hpp"
 #include "solver/diversify.hpp"
+#include "util/strings.hpp"
 
 namespace gridsat::core {
 namespace {
@@ -29,7 +30,7 @@ std::vector<sim::HostSpec> testbed(std::size_t n) {
   std::vector<sim::HostSpec> hosts;
   for (std::size_t i = 0; i < n; ++i) {
     sim::HostSpec spec;
-    spec.name = "h" + std::to_string(i);
+    spec.name = util::indexed_name("h", i);
     spec.site = i % 2 == 0 ? "east" : "west";
     spec.speed = 3000.0 + 500.0 * static_cast<double>(i);
     spec.memory_bytes = 32 * kMiB;

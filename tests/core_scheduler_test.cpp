@@ -7,6 +7,7 @@
 #include "core/campaign.hpp"
 #include "gen/pigeonhole.hpp"
 #include "gen/random_ksat.hpp"
+#include "util/strings.hpp"
 
 namespace gridsat::core {
 namespace {
@@ -49,7 +50,7 @@ TEST(SchedulerTest, NoMigrationBetweenEqualHosts) {
   std::vector<sim::HostSpec> hosts;
   for (int i = 0; i < 4; ++i) {
     sim::HostSpec spec;
-    spec.name = "h" + std::to_string(i);
+    spec.name = util::indexed_name("h", i);
     spec.site = "one";
     spec.speed = 4000.0;
     spec.memory_bytes = 32 * kMiB;
@@ -74,7 +75,7 @@ TEST(SchedulerTest, FreeHostIsRelaunchedWhenBacklogNeedsIt) {
   std::vector<sim::HostSpec> hosts;
   for (int i = 0; i < 3; ++i) {
     sim::HostSpec spec;
-    spec.name = "h" + std::to_string(i);
+    spec.name = util::indexed_name("h", i);
     spec.site = "one";
     spec.speed = 3000.0;
     spec.memory_bytes = 32 * kMiB;
@@ -98,7 +99,7 @@ TEST(SchedulerTest, PeakClientCountNeverExceedsPool) {
   std::vector<sim::HostSpec> hosts;
   for (int i = 0; i < 5; ++i) {
     sim::HostSpec spec;
-    spec.name = "h" + std::to_string(i);
+    spec.name = util::indexed_name("h", i);
     spec.site = "one";
     spec.speed = 3000.0;
     spec.memory_bytes = 32 * kMiB;

@@ -5,6 +5,7 @@
 #include "core/campaign.hpp"
 #include "core/timeline.hpp"
 #include "gen/pigeonhole.hpp"
+#include "util/strings.hpp"
 
 namespace gridsat::core {
 namespace {
@@ -15,7 +16,7 @@ std::vector<sim::HostSpec> hosts4() {
   std::vector<sim::HostSpec> hosts;
   for (int i = 0; i < 4; ++i) {
     sim::HostSpec spec;
-    spec.name = "h" + std::to_string(i);
+    spec.name = util::indexed_name("h", i);
     spec.site = "one";
     spec.speed = 3000.0;
     spec.memory_bytes = 32 * kMiB;

@@ -9,6 +9,7 @@
 #include "gen/quasigroup.hpp"
 #include "solver/parallel.hpp"
 #include "solver/proof.hpp"
+#include "util/strings.hpp"
 
 namespace gridsat {
 namespace {
@@ -23,7 +24,7 @@ std::vector<sim::HostSpec> hosts4() {
   std::vector<sim::HostSpec> hosts;
   for (int i = 0; i < 4; ++i) {
     sim::HostSpec spec;
-    spec.name = "h" + std::to_string(i);
+    spec.name = util::indexed_name("h", i);
     spec.site = "one";
     spec.speed = 4000.0;
     spec.memory_bytes = 32 * kMiB;

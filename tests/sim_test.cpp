@@ -19,6 +19,7 @@
 #include "sim/names.hpp"
 #include "sim/network.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace gridsat::sim {
 namespace {
@@ -437,7 +438,7 @@ TEST(MessageBusTest, DeliveryBatchFlushesAndIsReusable) {
                       names.intern("CLAUSES"), 128);
   EXPECT_EQ(batch.flush(), 0u);  // empty flush schedules nothing
   for (int i = 0; i < 5; ++i) {
-    batch.add(names.intern("c" + std::to_string(i)), utk,
+    batch.add(names.intern(util::indexed_name("c", i)), utk,
               [&] { ++delivered; });
   }
   EXPECT_EQ(batch.size(), 5u);

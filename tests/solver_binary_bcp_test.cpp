@@ -190,10 +190,11 @@ TEST(BinaryBcpTest, ExportedBinariesImportSoundly) {
     const CnfFormula f = binary_heavy(18, 24, 50, seed * 7 + 1);
     const bool truth = brute_force_solve(f).has_value();
     CdclSolver exporter(f);
-    std::vector<cnf::Clause> shared;
-    exporter.set_share_callback([&](const cnf::Clause& c, std::uint32_t) {
-      if (c.size() <= 2) shared.push_back(c);
-    });
+    cnf::ClauseBlock shared;
+    exporter.set_share_callback(
+        [&](std::span<const cnf::Lit> c, std::uint32_t) {
+          if (c.size() <= 2) shared.push_back(c);
+        });
     (void)exporter.solve();
     CdclSolver importer(f);
     importer.import_clauses(shared);

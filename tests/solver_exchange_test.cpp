@@ -97,12 +97,13 @@ TEST(LbdTest, ShareCallbackReportsSameLbdAsConflictRecord) {
   solver.set_conflict_observer([&](const ConflictRecord& rec) {
     events.push_back({true, sorted(rec.learned_clause), rec.lbd});
   });
-  solver.set_share_callback([&](const cnf::Clause& c, std::uint32_t lbd) {
-    // LBD can never exceed the number of literals.
-    EXPECT_LE(lbd, c.size());
-    EXPECT_GE(lbd, 1u);
-    events.push_back({false, sorted(c), lbd});
-  });
+  solver.set_share_callback(
+      [&](std::span<const cnf::Lit> c, std::uint32_t lbd) {
+        // LBD can never exceed the number of literals.
+        EXPECT_LE(lbd, c.size());
+        EXPECT_GE(lbd, 1u);
+        events.push_back({false, sorted(cnf::Clause(c.begin(), c.end())), lbd});
+      });
   ASSERT_NE(solver.solve(200'000), SolveStatus::kUnknown);
   std::size_t conflicts = 0;
   for (std::size_t i = 0; i < events.size(); ++i) {
@@ -226,18 +227,25 @@ TEST(FingerprintFilterTest, ConcurrentInsertersAgreeOnOneWinner) {
 
 // --- Sharded pool ------------------------------------------------------
 
-SharedClause shared(std::initializer_list<std::int64_t> dimacs,
-                    std::uint32_t lbd) {
-  return SharedClause{make_clause(dimacs), lbd};
+/// One clause per DIMACS list, as a block ready to publish.
+cnf::ClauseBlock batch(
+    std::initializer_list<std::initializer_list<std::int64_t>> clauses) {
+  cnf::ClauseBlock out;
+  for (const auto& dimacs : clauses) out.push_back(make_clause(dimacs));
+  return out;
+}
+
+cnf::Clause copy(std::span<const cnf::Lit> lits) {
+  return {lits.begin(), lits.end()};
 }
 
 TEST(SharedClausePoolTest, ReaderSeesOtherShardsNotOwn) {
   SharedClausePool pool(3);
-  pool.publish(0, {shared({1, 2}, 2)});
-  pool.publish(1, {shared({3, 4}, 2), shared({5, 6}, 1)});
+  pool.publish(0, batch({{1, 2}}));
+  pool.publish(1, batch({{3, 4}, {5, 6}}));
 
   auto cursor = pool.make_cursor();
-  std::vector<SharedClause> out;
+  cnf::ClauseBlock out;
   EXPECT_EQ(pool.collect(/*self=*/2, cursor, out), 3u);
   EXPECT_EQ(out.size(), 3u);
 
@@ -245,32 +253,32 @@ TEST(SharedClausePoolTest, ReaderSeesOtherShardsNotOwn) {
   auto cursor0 = pool.make_cursor();
   out.clear();
   EXPECT_EQ(pool.collect(/*self=*/0, cursor0, out), 2u);
-  for (const SharedClause& sc : out) {
-    EXPECT_NE(sc.lits, make_clause({1, 2}));
+  for (const auto c : out) {
+    EXPECT_NE(copy(c), make_clause({1, 2}));
   }
 }
 
 TEST(SharedClausePoolTest, CursorAdvancesAndSeesOnlyNews) {
   SharedClausePool pool(2);
   auto cursor = pool.make_cursor();
-  std::vector<SharedClause> out;
-  pool.publish(0, {shared({1, 2}, 2)});
+  cnf::ClauseBlock out;
+  pool.publish(0, batch({{1, 2}}));
   EXPECT_EQ(pool.collect(1, cursor, out), 1u);
   out.clear();
   EXPECT_EQ(pool.collect(1, cursor, out), 0u);  // drained
-  pool.publish(0, {shared({2, 3}, 2)});
+  pool.publish(0, batch({{2, 3}}));
   EXPECT_EQ(pool.collect(1, cursor, out), 1u);
-  EXPECT_EQ(out[0].lits, make_clause({2, 3}));
+  EXPECT_EQ(copy(out[0]), make_clause({2, 3}));
 }
 
 TEST(SharedClausePoolTest, SkipToNowIgnoresHistory) {
   SharedClausePool pool(2);
-  pool.publish(0, {shared({1, 2}, 2), shared({3, 4}, 2)});
+  pool.publish(0, batch({{1, 2}, {3, 4}}));
   auto cursor = pool.make_cursor();
   pool.skip_to_now(cursor);
-  std::vector<SharedClause> out;
+  cnf::ClauseBlock out;
   EXPECT_EQ(pool.collect(1, cursor, out), 0u);
-  pool.publish(0, {shared({5, 6}, 1)});
+  pool.publish(0, batch({{5, 6}}));
   EXPECT_EQ(pool.collect(1, cursor, out), 1u);
   EXPECT_EQ(pool.size(), 3u);
 }
@@ -285,7 +293,7 @@ TEST(SharedClausePoolTest, ConcurrentPublishAndCollect) {
     threads.emplace_back([&pool, p] {
       for (int i = 1; i <= kPerPublisher; ++i) {
         pool.publish(static_cast<std::size_t>(p),
-                     {shared({p * kPerPublisher + i, -(i + 1)}, 2)});
+                     batch({{p * kPerPublisher + i, -(i + 1)}}));
       }
     });
   }
@@ -293,7 +301,7 @@ TEST(SharedClausePoolTest, ConcurrentPublishAndCollect) {
   for (int r = 0; r < 2; ++r) {
     threads.emplace_back([&pool, &collected, r] {
       auto cursor = pool.make_cursor();
-      std::vector<SharedClause> out;
+      cnf::ClauseBlock out;
       while (collected[static_cast<std::size_t>(r)] < 2 * kPerPublisher) {
         out.clear();
         collected[static_cast<std::size_t>(r)] +=

@@ -71,8 +71,8 @@ TEST(MemorySemanticsTest, SqueezeWithSharingStillSound) {
   config.memory_limit_bytes = 24 * 1024;
   config.max_memory_squeezes = 0;
   CdclSolver donor(f, config);
-  std::vector<cnf::Clause> shared;
-  donor.set_share_callback([&](const cnf::Clause& c, std::uint32_t) {
+  cnf::ClauseBlock shared;
+  donor.set_share_callback([&](std::span<const cnf::Lit> c, std::uint32_t) {
     if (c.size() <= 8 && shared.size() < 100) shared.push_back(c);
   });
   EXPECT_EQ(donor.solve(), SolveStatus::kUnsat);

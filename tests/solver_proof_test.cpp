@@ -158,7 +158,8 @@ TEST(ProofTest, SharedClausesFromSplitSolversAreRupAgainstOriginal) {
   std::vector<cnf::Clause> database = f.clauses();
   std::size_t checked = 0;
   bool all_rup = true;
-  const auto checker = [&](const cnf::Clause& c, std::uint32_t) {
+  const auto checker = [&](std::span<const cnf::Lit> lits, std::uint32_t) {
+    const cnf::Clause c(lits.begin(), lits.end());
     // Append in causal order: a clause may resolve on earlier learned
     // clauses (including ones the donor learned before the split, which
     // the branch inherits), so the checker database must contain every
@@ -197,7 +198,8 @@ TEST(ProofTest, ImportedClausesKeepExportsRupAgainstOriginal) {
   std::vector<cnf::Clause> database = f.clauses();
   std::size_t checked = 0;
   bool all_rup = true;
-  const auto checker = [&](const cnf::Clause& c, std::uint32_t) {
+  const auto checker = [&](std::span<const cnf::Lit> lits, std::uint32_t) {
+    const cnf::Clause c(lits.begin(), lits.end());
     if (checked < 60) {
       ++checked;
       if (!is_rup(database, f.num_vars(), c)) all_rup = false;
@@ -207,9 +209,11 @@ TEST(ProofTest, ImportedClausesKeepExportsRupAgainstOriginal) {
 
   SharedClausePool pool(2);
   CdclSolver donor(f);
-  donor.set_share_callback([&](const cnf::Clause& c, std::uint32_t lbd) {
+  donor.set_share_callback([&](std::span<const cnf::Lit> c, std::uint32_t lbd) {
     checker(c, lbd);
-    pool.publish(0, {SharedClause{c, lbd}});
+    cnf::ClauseBlock one;
+    one.push_back(c);
+    pool.publish(0, one);
   });
   while (!donor.can_split() && donor.solve(200) == SolveStatus::kUnknown) {
   }
@@ -220,11 +224,9 @@ TEST(ProofTest, ImportedClausesKeepExportsRupAgainstOriginal) {
   CdclSolver importer(branch);
   importer.set_share_callback(checker);
   auto cursor = pool.make_cursor();
-  std::vector<SharedClause> incoming;
+  cnf::ClauseBlock incoming;
   ASSERT_GT(pool.collect(/*self=*/1, cursor, incoming), 0u);
-  std::vector<cnf::Clause> fresh;
-  for (SharedClause& sc : incoming) fresh.push_back(std::move(sc.lits));
-  importer.import_clauses(std::move(fresh));
+  importer.import_clauses(incoming);
   (void)importer.solve(400'000);
   ASSERT_GT(checked, 0u);
   EXPECT_TRUE(all_rup)

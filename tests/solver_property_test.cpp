@@ -121,9 +121,9 @@ TEST(ImportNoiseTest, DuplicateAndTautologicalImportsTolerated) {
   // Only import clauses implied by f? The tautology and duplicates are
   // universally valid or repeats of a clause implied only if f implies
   // it... use clauses from the reference solver to stay sound.
-  std::vector<cnf::Clause> sound;
+  cnf::ClauseBlock sound;
   CdclSolver donor(f);
-  donor.set_share_callback([&](const cnf::Clause& c, std::uint32_t) {
+  donor.set_share_callback([&](std::span<const cnf::Lit> c, std::uint32_t) {
     if (sound.size() < 20) sound.push_back(c);
   });
   donor.solve();

@@ -9,8 +9,10 @@
 //   * subproblem serialization round-trips.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "cnf/formula.hpp"
@@ -160,12 +162,11 @@ TEST(SharingSoundnessTest, SharedClausesImpliedByOriginalFormula) {
     CdclSolver b(*other);
 
     std::vector<cnf::Clause> shared;
-    b.set_share_callback([&](const cnf::Clause& c, std::uint32_t) {
-      if (shared.size() < 50) shared.push_back(c);
-    });
-    a.set_share_callback([&](const cnf::Clause& c, std::uint32_t) {
-      if (shared.size() < 50) shared.push_back(c);
-    });
+    const auto keep = [&](std::span<const Lit> c, std::uint32_t) {
+      if (shared.size() < 50) shared.emplace_back(c.begin(), c.end());
+    };
+    b.set_share_callback(keep);
+    a.set_share_callback(keep);
     a.solve();
     b.solve();
     for (const auto& clause : shared) {
@@ -188,8 +189,8 @@ TEST(SharingSoundnessTest, DeepSplitChainStillSound) {
   // learns must still be implied by the original formula.
   CdclSolver leaf(branches.back());
   std::vector<cnf::Clause> shared;
-  leaf.set_share_callback([&](const cnf::Clause& c, std::uint32_t) {
-    if (shared.size() < 30) shared.push_back(c);
+  leaf.set_share_callback([&](std::span<const Lit> c, std::uint32_t) {
+    if (shared.size() < 30) shared.emplace_back(c.begin(), c.end());
   });
   leaf.solve(2'000'000);
   ASSERT_FALSE(shared.empty());
@@ -205,8 +206,8 @@ TEST(SharingTest, ImportPreservesVerdict) {
 
     // Harvest clauses from one run, inject into a fresh solver.
     CdclSolver donor(f);
-    std::vector<cnf::Clause> harvest;
-    donor.set_share_callback([&](const cnf::Clause& c, std::uint32_t) {
+    cnf::ClauseBlock harvest;
+    donor.set_share_callback([&](std::span<const Lit> c, std::uint32_t) {
       if (c.size() <= 10 && harvest.size() < 200) harvest.push_back(c);
     });
     donor.solve();
@@ -222,6 +223,48 @@ TEST(SharingTest, ImportPreservesVerdict) {
     }
     EXPECT_GE(receiver.stats().imported_clauses, 0u);
   }
+}
+
+TEST(SharingTest, PresortedAndScrambledImportsAgree) {
+  // A grid client sorts each clause once when it exports it, so receivers
+  // load canonical clauses. That is free only if literal order never
+  // reaches the search: the same imports, presorted or scrambled, must
+  // leave two receivers in identical states.
+  const CnfFormula f = gen::pigeonhole_unsat(7);
+  CdclSolver donor(f);
+  cnf::ClauseBlock exported;
+  donor.set_share_callback(
+      [&](std::span<const Lit> c, std::uint32_t) { exported.push_back(c); });
+  const auto child = advance_and_split(donor, 2'000);
+  ASSERT_TRUE(child.has_value());
+  (void)donor.solve(40'000);
+  ASSERT_GT(exported.size(), 50u);
+  cnf::ClauseBlock presorted;
+  cnf::ClauseBlock scrambled;
+  util::Xoshiro256 rng(23);
+  for (const std::span<const Lit> c : exported) {
+    const std::span<Lit> sorted = presorted.push_back(c);
+    std::sort(sorted.begin(), sorted.end());
+    const std::span<Lit> shuffled = scrambled.push_back(c);
+    for (std::size_t i = shuffled.size(); i > 1; --i) {
+      std::swap(shuffled[i - 1], shuffled[rng.below(i)]);
+    }
+  }
+  ASSERT_NE(presorted, scrambled);
+
+  CdclSolver a(*child);
+  CdclSolver b(*child);
+  // Two level-0 merges each: before the first slice and mid-search.
+  for (int round = 0; round < 2; ++round) {
+    a.import_clauses(presorted);
+    b.import_clauses(scrambled);
+    EXPECT_EQ(a.solve(150'000), b.solve(150'000)) << "round " << round;
+    EXPECT_TRUE(a.stats() == b.stats()) << "round " << round;
+    EXPECT_EQ(a.check_invariants(), "") << "round " << round;
+    EXPECT_EQ(b.check_invariants(), "") << "round " << round;
+  }
+  EXPECT_GT(a.stats().imported_clauses, 0u);
+  EXPECT_GT(a.stats().conflicts, 0u);
 }
 
 TEST(SharingTest, ImportedUnitForcesImplication) {
@@ -332,7 +375,7 @@ TEST(MigrationTest, MigratedStateKeepsLearnedClauses) {
 /// True when every clause lists its literals strictly ascending: the
 /// canonical order split() ships (arena clauses hold no duplicates).
 bool strictly_ascending(const Subproblem& sp) {
-  for (const cnf::Clause& c : sp.clauses) {
+  for (const std::span<const Lit> c : sp.clauses) {
     for (std::size_t i = 1; i < c.size(); ++i) {
       if (!(c[i - 1] < c[i])) return false;
     }
@@ -361,14 +404,19 @@ TEST(RehydrationTest, LoadDoesNotDependOnLiteralOrder) {
   // The same clauses, each shuffled, and one carrying a duplicate literal.
   Subproblem scrambled = *child;
   util::Xoshiro256 rng(15);
-  for (cnf::Clause& c : scrambled.clauses) {
+  scrambled.clauses.clear();
+  for (std::size_t k = 0; k < child->clauses.size(); ++k) {
+    const auto lits = child->clauses[k];
+    cnf::Clause c(lits.begin(), lits.end());
     for (std::size_t i = c.size(); i > 1; --i) {
       std::swap(c[i - 1], c[rng.below(i)]);
     }
+    if (k + 1 == child->clauses.size()) {
+      c.insert(c.begin() + static_cast<std::ptrdiff_t>(rng.below(c.size())),
+               c.back());
+    }
+    scrambled.clauses.push_back(c);
   }
-  cnf::Clause& last = scrambled.clauses.back();
-  last.insert(last.begin() + static_cast<std::ptrdiff_t>(rng.below(last.size())),
-              last.back());
   ASSERT_NE(scrambled.clauses, child->clauses);
 
   CdclSolver canonical(*child);

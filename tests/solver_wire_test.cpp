@@ -20,6 +20,7 @@
 #include "solver/subproblem.hpp"
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace gridsat {
 namespace {
@@ -53,6 +54,11 @@ std::vector<std::uint8_t> from_hex(const char* hex) {
         static_cast<std::uint8_t>(std::stoul(s.substr(i, 2), nullptr, 16)));
   }
   return bytes;
+}
+
+/// Clause i of a block as an owned clause.
+cnf::Clause clause_at(const cnf::ClauseBlock& block, std::size_t i) {
+  return {block[i].begin(), block[i].end()};
 }
 
 /// The fixture payload behind the subproblem goldens: canonical wire
@@ -92,8 +98,8 @@ TEST(GoldenBytesTest, SubproblemBaseRefMatchesFixture) {
   EXPECT_EQ(back.num_problem_clauses, 0u);
   EXPECT_EQ(back.base_fingerprint, sp.base_fingerprint);
   // Splicing the problem block back in restores the full payload.
-  const std::vector<cnf::Clause> base(sp.clauses.begin(),
-                                      sp.clauses.begin() + 2);
+  const std::vector<cnf::Clause> base = {clause_at(sp.clauses, 0),
+                                         clause_at(sp.clauses, 1)};
   back.rehydrate(base);
   EXPECT_EQ(back, sp);
 }
@@ -167,10 +173,12 @@ solver::Subproblem random_subproblem(util::Xoshiro256& rng) {
   return sp;
 }
 
-/// Encoded size of a clause stream: what one block of a payload costs.
-std::size_t stream_bytes(std::span<const cnf::Clause> clauses) {
+/// Encoded size of clauses [first, last) as one stream: what one block
+/// of a payload costs.
+std::size_t stream_bytes(const cnf::ClauseBlock& clauses, std::size_t first,
+                         std::size_t last) {
   util::ByteCounter counter;
-  cnf::encode_clause_stream(counter, clauses);
+  cnf::encode_clause_stream(counter, clauses, first, last);
   return counter.size();
 }
 
@@ -185,11 +193,10 @@ TEST(WirePropertyTest, SubproblemWireSizeEqualsSerializedSize) {
     }
     // The two frames differ only in the problem-clause stream, which is
     // what lets wire_sizes() derive the full size from the base-ref one.
-    const std::span<const cnf::Clause> all(sp.clauses);
     EXPECT_EQ(sp.wire_size(solver::WireMode::kFull) -
                   sp.wire_size(solver::WireMode::kBaseRef),
-              stream_bytes(all.first(
-                  static_cast<std::size_t>(sp.num_problem_clauses))))
+              stream_bytes(sp.clauses, 0,
+                           static_cast<std::size_t>(sp.num_problem_clauses)))
         << "iteration " << i;
     EXPECT_EQ(sp.wire_sizes().full, sp.wire_size(solver::WireMode::kFull));
     // Decoding canonicalizes; re-encoding the canonical form is a
@@ -316,16 +323,128 @@ TEST(WireEncoderTest, EmptyClauseThrowsOnBothWriters) {
 }
 
 // ---------------------------------------------------------------------------
+// cnf::ClauseBlock: the flat clause container every payload holds.
+// ---------------------------------------------------------------------------
+
+TEST(ClauseBlockTest, AppendAndSpanAccess) {
+  cnf::ClauseBlock block;
+  EXPECT_TRUE(block.empty());
+  block.push_back(cnf::Clause{Lit(1, false), Lit(2, true)});
+  const std::span<Lit> slot = block.push_uninit(3);
+  slot[0] = Lit(3, false);
+  slot[1] = Lit(4, true);
+  slot[2] = Lit(5, false);
+  block.push_back(cnf::Clause{Lit(6, true)});
+  ASSERT_EQ(block.size(), 3u);
+  EXPECT_EQ(block.num_literals(), 6u);
+  EXPECT_EQ(clause_at(block, 0), (cnf::Clause{Lit(1, false), Lit(2, true)}));
+  EXPECT_EQ(clause_at(block, 1),
+            (cnf::Clause{Lit(3, false), Lit(4, true), Lit(5, false)}));
+  EXPECT_EQ(clause_at(block, 2), (cnf::Clause{Lit(6, true)}));
+  std::vector<std::size_t> sizes;
+  for (const std::span<const Lit> c : block) sizes.push_back(c.size());
+  EXPECT_EQ(sizes, (std::vector<std::size_t>{2, 3, 1}));
+
+  // A range append re-bases the offsets onto the receiving buffer.
+  cnf::ClauseBlock tail = {{Lit(7, false)}};
+  tail.append(block, 1, 3);
+  ASSERT_EQ(tail.size(), 3u);
+  EXPECT_EQ(clause_at(tail, 1), clause_at(block, 1));
+  EXPECT_EQ(clause_at(tail, 2), clause_at(block, 2));
+  EXPECT_EQ(tail.num_literals(), 5u);
+  tail.clear();
+  EXPECT_EQ(tail, cnf::ClauseBlock{});
+}
+
+TEST(ClauseBlockTest, EqualityComparesClausesAndLiteralOrder) {
+  const cnf::ClauseBlock a = {{Lit(1, false), Lit(2, false)}, {Lit(3, false)}};
+  EXPECT_EQ(a, (cnf::ClauseBlock{{Lit(1, false), Lit(2, false)},
+                                 {Lit(3, false)}}));
+  // The same literals cut into other clauses.
+  EXPECT_NE(a, (cnf::ClauseBlock{{Lit(1, false)},
+                                 {Lit(2, false), Lit(3, false)}}));
+  // The same clause set with one clause's literals reordered.
+  EXPECT_NE(a, (cnf::ClauseBlock{{Lit(2, false), Lit(1, false)},
+                                 {Lit(3, false)}}));
+}
+
+TEST(ClauseBlockTest, ConvertsFromClauseList) {
+  const std::vector<cnf::Clause> clauses = {
+      {Lit(4, true)}, {}, {Lit(1, false), Lit(9, true), Lit(2, false)}};
+  const cnf::ClauseBlock block(clauses);
+  ASSERT_EQ(block.size(), clauses.size());
+  for (std::size_t i = 0; i < clauses.size(); ++i) {
+    EXPECT_EQ(clause_at(block, i), clauses[i]) << "clause " << i;
+  }
+  cnf::ClauseBlock pushed;
+  for (const cnf::Clause& c : clauses) pushed.push_back(c);
+  EXPECT_EQ(block, pushed);
+}
+
+TEST(ClauseBlockTest, StreamDecodesIntoBlockCanonically) {
+  util::Xoshiro256 rng(77);
+  for (int round = 0; round < 50; ++round) {
+    std::vector<cnf::Clause> clauses;
+    const std::size_t count = 1 + rng.below(30);
+    for (std::size_t i = 0; i < count; ++i) {
+      cnf::Clause c;
+      const std::size_t len = 1 + rng.below(6);
+      for (std::size_t j = 0; j < len; ++j) {
+        c.push_back(Lit(static_cast<cnf::Var>(1 + rng.below(40)),
+                        rng.below(2) == 0));
+      }
+      clauses.push_back(std::move(c));
+    }
+    const cnf::ClauseBlock block(clauses);
+    // Encode the block's tail; decode it after a clause already held.
+    const std::size_t first = rng.below(count);
+    util::ByteWriter out;
+    cnf::encode_clause_stream(out, block, first, count);
+    const std::vector<std::uint8_t> bytes = out.take();
+    cnf::ClauseBlock back = {{Lit(50, false)}};
+    util::ByteReader in(bytes);
+    cnf::decode_clause_stream(in, back);
+    EXPECT_TRUE(in.exhausted());
+    // Expected: the encoded clauses, shortest first (stably), each sorted.
+    std::vector<cnf::Clause> want(
+        clauses.begin() + static_cast<std::ptrdiff_t>(first), clauses.end());
+    std::stable_sort(want.begin(), want.end(),
+                     [](const cnf::Clause& a, const cnf::Clause& b) {
+                       return a.size() < b.size();
+                     });
+    for (cnf::Clause& c : want) std::sort(c.begin(), c.end());
+    want.insert(want.begin(), cnf::Clause{Lit(50, false)});
+    EXPECT_EQ(back, cnf::ClauseBlock(want)) << "round " << round;
+    // The span overload writes the same bytes for the same clauses.
+    util::ByteWriter same;
+    cnf::encode_clause_stream(
+        same, std::span<const cnf::Clause>(clauses).subspan(first));
+    EXPECT_EQ(same.take(), bytes) << "round " << round;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Decode-time literal range: a payload may only name variables
 // 1..num_vars, in every section.
 // ---------------------------------------------------------------------------
+
+/// Append `lit` to clause i of the payload.
+void append_lit(solver::Subproblem& sp, std::size_t i, Lit lit) {
+  cnf::ClauseBlock out;
+  for (std::size_t k = 0; k < sp.clauses.size(); ++k) {
+    cnf::Clause c = clause_at(sp.clauses, k);
+    if (k == i) c.push_back(lit);
+    out.push_back(c);
+  }
+  sp.clauses = std::move(out);
+}
 
 TEST(SubproblemDecodeTest, AcceptsLiteralsUpToNumVars) {
   solver::Subproblem sp = golden_subproblem();
   const Lit top(sp.num_vars, true);  // the largest legal code
   sp.units.push_back({top, false});
   sp.assumptions.push_back(top);
-  sp.clauses.back().push_back(top);
+  append_lit(sp, sp.clauses.size() - 1, top);
   EXPECT_NO_THROW(solver::Subproblem::from_bytes(sp.to_bytes()));
 }
 
@@ -344,13 +463,14 @@ TEST(SubproblemDecodeTest, RejectsAssumptionBeyondNumVars) {
 TEST(SubproblemDecodeTest, RejectsClauseLiteralBeyondNumVars) {
   // In the problem block.
   solver::Subproblem problem = golden_subproblem();
-  problem.clauses[0].push_back(Lit(problem.num_vars + 1, false));
+  append_lit(problem, 0, Lit(problem.num_vars + 1, false));
   EXPECT_THROW(solver::Subproblem::from_bytes(problem.to_bytes()),
                util::DecodeError);
   // In the learned block, which both wire forms carry.
   for (const auto mode : {solver::WireMode::kFull, solver::WireMode::kBaseRef}) {
     solver::Subproblem learned = golden_subproblem();
-    learned.clauses.back().push_back(Lit(learned.num_vars + 3, true));
+    append_lit(learned, learned.clauses.size() - 1,
+               Lit(learned.num_vars + 3, true));
     EXPECT_THROW(solver::Subproblem::from_bytes(learned.to_bytes(mode)),
                  util::DecodeError)
         << "mode " << static_cast<int>(mode);
@@ -489,8 +609,10 @@ TEST(CheckpointChainTest, RestoreChainReplaysBaseAndDeltas) {
   EXPECT_EQ(sp.assumptions, delta.assumptions);
   EXPECT_EQ(sp.num_problem_clauses, f.num_clauses());
   ASSERT_EQ(sp.clauses.size(), f.num_clauses() + 2);
-  EXPECT_EQ(sp.clauses[f.num_clauses()], full.learned[0]);
-  EXPECT_EQ(sp.clauses[f.num_clauses() + 1], delta.learned[0]);
+  EXPECT_EQ(clause_at(sp.clauses, f.num_clauses()),
+            clause_at(full.learned, 0));
+  EXPECT_EQ(clause_at(sp.clauses, f.num_clauses() + 1),
+            clause_at(delta.learned, 0));
 }
 
 TEST(CheckpointChainTest, SingleFullChainMatchesDirectRestore) {
@@ -515,7 +637,7 @@ std::vector<sim::HostSpec> wire_testbed() {
   std::vector<sim::HostSpec> hosts;
   for (int i = 0; i < 4; ++i) {
     sim::HostSpec spec;
-    spec.name = "w" + std::to_string(i);
+    spec.name = util::indexed_name("w", i);
     spec.site = i < 2 ? "east" : "west";
     spec.speed = 3000.0 + 500.0 * i;
     spec.memory_bytes = 32 * kMiB;
@@ -601,11 +723,11 @@ TEST(SubproblemTrimTest, KeepsProblemBlockAndShortestLearned) {
   // Problem block untouched, in order; kept learned sorted shortest-first.
   EXPECT_EQ(sp.clauses[0].size(), 2u);
   EXPECT_EQ(sp.clauses[1].size(), 3u);
-  EXPECT_EQ(sp.clauses[2], (cnf::Clause{Lit(6, false)}));
-  EXPECT_EQ(sp.clauses[3], (cnf::Clause{Lit(7, false), Lit(8, true)}));
+  EXPECT_EQ(clause_at(sp.clauses, 2), (cnf::Clause{Lit(6, false)}));
+  EXPECT_EQ(clause_at(sp.clauses, 3),
+            (cnf::Clause{Lit(7, false), Lit(8, true)}));
   EXPECT_LT(sp.wire_size(), full);
-  const std::span<const cnf::Clause> all(sp.clauses);
-  EXPECT_EQ(stream_bytes(all.subspan(2)), 8u);
+  EXPECT_EQ(stream_bytes(sp.clauses, 2, sp.clauses.size()), 8u);
   // A roomy budget drops nothing further.
   EXPECT_EQ(sp.trim_learned(1u << 20), 0u);
 }
@@ -618,9 +740,9 @@ TEST(SubproblemTrimTest, EncodedLearnedBlockFitsBudget) {
     solver::Subproblem sp = random_subproblem(rng);
     const std::size_t budget = 1 + rng.below(64);
     sp.trim_learned(budget);
-    const std::span<const cnf::Clause> all(sp.clauses);
-    EXPECT_LE(stream_bytes(all.subspan(
-                  static_cast<std::size_t>(sp.num_problem_clauses))),
+    EXPECT_LE(stream_bytes(sp.clauses,
+                           static_cast<std::size_t>(sp.num_problem_clauses),
+                           sp.clauses.size()),
               budget)
         << "iteration " << i;
   }

@@ -162,10 +162,11 @@ TEST(BytesTest, SmallVarintsAreCompact) {
 }
 
 TEST(BytesTest, StringRoundTrip) {
+  // Written in a loop: straight-line calls on a fresh writer trip a false
+  // -Wstringop-overflow in GCC 12 Release builds.
+  const std::string strings[] = {"", "hello", std::string(1000, 'x')};
   ByteWriter w;
-  w.str("");
-  w.str("hello");
-  w.str(std::string(1000, 'x'));
+  for (const std::string& s : strings) w.str(s);
   ByteReader r(w.data());
   EXPECT_EQ(r.str(), "");
   EXPECT_EQ(r.str(), "hello");
